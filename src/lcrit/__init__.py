@@ -3,21 +3,20 @@ dimension-one levels, with an independent truncated-L-series cross-check.
 
 The criterion compares two finite genus-character-weighted counts of binary
 quadratic forms; equality decides vanishing.  See criterion.vanishing_verdict
-for the main entry point and cli for the command-line interface.
+(criterion.compare without its domain gates) and cli for the command line.
 """
 
 from .arith import divisors, is_fundamental_discriminant, is_prime, isqrt, kronecker
 from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, CongruenceVerdict, CubesVerdict,
                         FEvaluation, LevelData, ParityResult, Vanishing, VanishingVerdict,
-                        congruent_verdict, cubes_verdict, f_sum, is_good, level_data,
+                        compare, congruent_verdict, cubes_verdict, f_sum, is_good, level_data,
                         parity_test, s_count, table_condition, vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character, genus_character_m3
 from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleConfig,
                      OracleVerdict, curve_ap, estimate_l_value, eta_coefficients,
                      extend_multiplicatively, newform_coefficients, twisted_l_value)
-from .quadforms import (BinaryQuadraticForm, Form, FormSet, RationalPoint, as_point,
-                        discriminant, enumerate_forms, enumerate_forms_bruteforce,
-                        evaluate, homogeneous_value)
+from .quadforms import (Form, FormSet, as_point, discriminant, enumerate_forms,
+                        enumerate_forms_bruteforce, evaluate, homogeneous_value)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

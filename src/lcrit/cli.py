@@ -8,24 +8,25 @@ Exit codes: 0 success, 1 internal error, 2 precondition violation,
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from multiprocessing import Pool
 
 import click
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
-from .criterion import (LEVELS, Vanishing, f_sum, level_data, table_condition,
+from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
                         vanishing_verdict)
 from .errors import PreconditionError
 from .newformdata import load_newform_data
-from .oracle import OracleConfig, default_terms, estimate_l_value
+from .oracle import OracleConfig, estimate_l_value
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
+
+COUNT = click.IntRange(min=0)
 
 
 @dataclass
@@ -95,7 +96,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--oracle", "with_oracle", is_flag=True,
               help="cross-check with the truncated L-series estimate")
-@click.option("--oracle-terms", type=int, default=0)
+@click.option("--oracle-terms", type=COUNT, default=0)
 @click.option("--dump-forms", is_flag=True)
 @click.option("--data-dir", type=click.Path(), default=None)
 def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms, data_dir):
@@ -142,12 +143,23 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms, data_dir)
     _guarded(body)
 
 
-def _scan_eval(args):
-    level, d0, x1, x2, d = args
-    e1 = f_sum(level, d0, d, x1)
-    e2 = f_sum(level, d0, d, x2)
-    verdict = "vanishes" if e1.value == e2.value else "nonzero"
-    return ScanRow(d, e1.value, e2.value, e1.count, e2.count, verdict)
+def _scan_row(job):
+    v = compare(*job)
+    return ScanRow(v.d, v.f_x1, v.f_x2, v.x1_eval.count, v.x2_eval.count, v.outcome.value)
+
+
+@contextmanager
+def _scan_rows(jobs, parallel, chunk=None):
+    """ScanRows for (level, D) jobs in order, from a pool of `parallel` workers
+    (0: all cores) when that is more than one; chunk None means about four
+    chunks per worker.  Leaving the block stops the pool."""
+    workers = parallel if parallel > 0 else (os.cpu_count() or 1)
+    if workers > 1 and len(jobs) > 1:
+        with Pool(workers) as pool:
+            yield pool.imap(_scan_row, jobs,
+                            chunksize=chunk or max(1, len(jobs) // (4 * workers)))
+    else:
+        yield map(_scan_row, jobs)
 
 
 @main.command()
@@ -156,10 +168,10 @@ def _scan_eval(args):
 @click.option("--to", "to_d", type=int, required=True, help="end D (inclusive)")
 @click.option("--good-only", is_flag=True,
               help="only fundamental D passing the level's registry condition")
-@click.option("--parallel", type=int, default=0, help="worker count (default: all cores)")
+@click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 @click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
 @click.option("--oracle", "with_oracle", is_flag=True)
-@click.option("--oracle-terms", type=int, default=0)
+@click.option("--oracle-terms", type=COUNT, default=0)
 @click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
 @click.option("--data-dir", type=click.Path(), default=None)
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
@@ -174,12 +186,13 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
         for d in range(from_d, to_d - 1, -1):
             if not _valid_pair(d, row.d0):
                 continue
-            if good_only and not (is_fundamental_discriminant(d)
-                                  and table_condition(level, d)):
-                continue
-            accepted.append(d)
-        jobs = [(level, row.d0, row.x1, row.x2, d) for d in accepted]
-        workers = parallel if parallel > 0 else (os.cpu_count() or 1)
+            if good_only:
+                if not (is_fundamental_discriminant(d) and table_condition(level, d)):
+                    continue
+            elif with_oracle and not is_fundamental_discriminant(d):
+                raise PreconditionError(
+                    f"--oracle needs fundamental D; D = {d} is not one (--good-only skips it)")
+            accepted.append((level, d))
         stream = open(out, "w") if out else sys.stdout
         try:
             if not as_json:
@@ -187,17 +200,8 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
                 if with_oracle:
                     header += ",oracle_verdict,oracle_value"
                 print(header, file=stream, flush=True)
-            rows = None
-            if workers > 1 and len(jobs) > 1:
-                chunk = max(1, len(jobs) // (4 * workers))
-                with Pool(workers) as pool:
-                    rows = pool.imap(_scan_eval, jobs, chunksize=chunk)
-                    _emit_scan(rows, stream, as_json, with_oracle, level,
-                               oracle_terms, data_dir)
-            else:
-                rows = map(_scan_eval, jobs)
-                _emit_scan(rows, stream, as_json, with_oracle, level,
-                           oracle_terms, data_dir)
+            with _scan_rows(accepted, parallel) as rows:
+                _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms, data_dir)
         finally:
             if out:
                 stream.close()
@@ -217,8 +221,8 @@ def _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms, data_dir
 
 @main.command()
 @click.argument("name", type=click.Choice(["maincor", "primes", "cubes", "discs"]))
-@click.option("--max-abs-d", type=int, default=0, help="limit rows to |D| <= bound")
-@click.option("--parallel", type=int, default=0, help="worker count (default: all cores)")
+@click.option("--max-abs-d", type=COUNT, default=0, help="limit rows to |D| <= bound")
+@click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 def table(name, max_abs_d, parallel):
     """Recompute a built-in reference table and compare against frozen values."""
     def body():
@@ -236,15 +240,9 @@ def _table_values(name, max_abs_d, parallel):
     if max_abs_d:
         expected = [e for e in expected if abs(e[0]) <= max_abs_d]
     click.echo(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})")
-    header = f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status"
-    click.echo(header)
-    jobs = [(level, row.d0, row.x1, row.x2, d) for d, _, _, _ in expected]
-    workers = parallel if parallel > 0 else (os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with Pool(workers) as pool:
-            computed = list(pool.imap(_scan_eval, jobs, chunksize=1))
-    else:
-        computed = [_scan_eval(j) for j in jobs]
+    click.echo(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status")
+    with _scan_rows([(level, d) for d, _, _, _ in expected], parallel, chunk=1) as rows:
+        computed = list(rows)
     mismatches = 0
     for (d, f1, f2, verdict), got in zip(expected, computed):
         ok = (got.f_x1, got.f_x2) == (f1, f2)
@@ -270,9 +268,7 @@ def _table_discs(max_abs_d):
         for m in range(3, bound + 1):
             if not _valid_pair(-m, row.d0):
                 continue
-            e1 = f_sum(level, row.d0, -m, row.x1)
-            e2 = f_sum(level, row.d0, -m, row.x2)
-            if e1.value != e2.value:
+            if compare(level, -m).outcome is Vanishing.L_NONZERO:
                 recomputed.append(m)
         listed = [m for m in row.noninvariant_m if m <= bound]
         listed_valid = [m for m in listed if _valid_pair(-m, row.d0)]
@@ -299,32 +295,29 @@ def _table_discs(max_abs_d):
     click.echo("all listed non-invariant values reproduced")
 
 
+def _echo_verdict(v):
+    b = v.basis
+    row = level_data(b.level)
+    sign = "=" if b.outcome is Vanishing.L_VANISHES else "!="
+    click.echo(f"n = {v.n}: {v.outcome.value}")
+    click.echo(f"basis: level {b.level}, D = {b.d}, F({row.x1}) = {b.f_x1}, "
+               f"F({row.x2}) = {b.f_x2} -> L {sign} 0")
+    if b.note:
+        click.echo(f"note: {b.note}")
+
+
 @main.command()
 @click.argument("n", type=int)
 def congruent(n):
     """Congruent-number verdict for n = 3 (mod 8)."""
-    def body():
-        v = criterion.congruent_verdict(n)
-        b = v.basis
-        click.echo(f"n = {n}: {v.outcome.value}")
-        click.echo(f"basis: level 32, D = {b.d}, F(0) = {b.f_x1}, "
-                   f"F(1/3) = {b.f_x2} -> L {'=' if b.outcome is Vanishing.L_VANISHES else '!='} 0")
-    _guarded(body)
+    _guarded(lambda: _echo_verdict(criterion.congruent_verdict(n)))
 
 
 @main.command()
 @click.argument("n", type=int)
 def cubes(n):
     """Finiteness verdict for rational points on x^3 + n*y^2 = 432."""
-    def body():
-        v = criterion.cubes_verdict(n)
-        b = v.basis
-        click.echo(f"n = {n}: {v.outcome.value}")
-        click.echo(f"basis: level 27, D = {b.d}, F(0) = {b.f_x1}, "
-                   f"F(1/2) = {b.f_x2} -> L {'=' if b.outcome is Vanishing.L_VANISHES else '!='} 0")
-        if b.note:
-            click.echo(f"note: {b.note}")
-    _guarded(body)
+    _guarded(lambda: _echo_verdict(criterion.cubes_verdict(n)))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ D < 0 vanishes iff the two finite sums
 agree at x1 and x2.  Everything here is exact integer arithmetic.
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +19,6 @@ from math import gcd
 from .arith import factorize, is_fundamental_discriminant, is_prime, is_square, kronecker
 from .errors import PreconditionError
 from .genus import genus_character
-from .newformdata import NewformSource, default_sources
 from .quadforms import FormSet, enumerate_forms
 
 DIMENSION_ONE_LEVELS = (11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49)
@@ -28,9 +28,10 @@ DIMENSION_ONE_LEVELS = (11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49)
 class LevelData:
     """Registry row for one dimension-one level.
 
-    noninvariant_m lists |D| values known to give unequal sums at x1, x2
-    (regression fixtures); underlined_m marks the subset that are good
-    fundamental discriminants, hence carry a nonvanishing conclusion.
+    condition is printed and evaluated (table_condition); noninvariant_m
+    lists |D| values known to give unequal sums at x1, x2 (regression
+    fixtures); underlined_m marks the subset that are good fundamental
+    discriminants, hence carry a nonvanishing conclusion.
     """
 
     level: int
@@ -41,9 +42,22 @@ class LevelData:
     noninvariant_m: tuple
     underlined_m: frozenset
 
-    @property
-    def coefficient_source(self) -> NewformSource:
-        return default_sources()[self.level]
+
+_CLAUSE = re.compile(r"\((-?\d+)/\|D\|\) (!?=) (-1|0|1)|\|D\| = (\d+) \(mod (\d+)\)")
+
+
+def _parse_condition(text: str) -> tuple:
+    """Clauses `(k/|D|) = s`, `(k/|D|) != s`, `|D| = r (mod n)` joined by ` and `,
+    each as (k, n, target, equal): kronecker(k, |D|), or |D| % n when k is
+    None, must equal target exactly when equal is true."""
+    clauses = []
+    for part in text.split(" and "):
+        hit = _CLAUSE.fullmatch(part)
+        if hit is None:
+            raise ValueError(f"malformed condition clause {part!r} in {text!r}")
+        k, op, s, r, n = hit.groups()
+        clauses.append((int(k), None, int(s), op == "=") if k else (None, int(n), int(r), True))
+    return tuple(clauses)
 
 
 def _row(level, d0, x1, x2, condition, listed, underlined):
@@ -78,21 +92,8 @@ LEVELS = {
              (19, 20, 27, 31, 40, 47, 48, 55, 59, 68, 75), (19, 20, 31, 40, 47, 55, 59, 68)),
 }
 
-_CONDITIONS = {
-    11: lambda m: kronecker(-11, m) == 1,
-    14: lambda m: kronecker(-56, m) == 1,
-    15: lambda m: kronecker(5, m) == 1 and kronecker(-3, m) != -1,
-    17: lambda m: kronecker(-68, m) == 1,
-    19: lambda m: kronecker(-19, m) == 1,
-    20: lambda m: m % 8 == 3 and kronecker(-20, m) == 1,
-    21: lambda m: kronecker(-7, m) == -1 and kronecker(-3, m) == 1,
-    24: lambda m: m % 8 == 3 and kronecker(-24, m) == 1,
-    27: lambda m: kronecker(-3, m) == 1,
-    32: lambda m: m % 8 == 3,
-    36: lambda m: m % 8 == 3 and kronecker(-3, m) == -1,
-    49: lambda m: kronecker(-7, m) == -1,
-}
-
+# each row's printed condition, parsed once; table_condition evaluates it
+_CLAUSES = {level: _parse_condition(row.condition) for level, row in LEVELS.items()}
 
 def level_data(level: int) -> LevelData:
     try:
@@ -162,12 +163,17 @@ def is_good(level: int, d: int) -> bool:
 
 
 def table_condition(level: int, d: int) -> bool:
-    """The registry row's explicit good-discriminant condition, evaluated
+    """The registry row's printed good-discriminant condition, evaluated
     literally on |D|."""
     row = level_data(level)
     if not is_fundamental_discriminant(d) or d >= 0:
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    return _CONDITIONS[row.level](-d)
+    m = -d
+    for k, n, target, equal in _CLAUSES[row.level]:
+        got = kronecker(k, m) if n is None else m % n
+        if (got == target) != equal:
+            return False
+    return True
 
 
 class Vanishing(Enum):
@@ -193,16 +199,10 @@ class VanishingVerdict:
         return self.x2_eval.value
 
 
-def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
-    """Decide L(E_D, 1) = 0 by comparing the two registry sums."""
+def compare(level: int, d: int) -> VanishingVerdict:
+    """Evaluate F at the registry row's x1 and x2 and compare.  Only f_sum
+    checks D, which need not be fundamental or good; see vanishing_verdict."""
     row = level_data(level)
-    if not is_fundamental_discriminant(d) or d >= 0:
-        raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    if not table_condition(level, d):
-        raise PreconditionError(
-            f"level {level} requires {row.condition}; D = {d} violates it")
-    if is_square(d * row.d0):
-        raise PreconditionError(f"|D*D0| = {d * row.d0} is a perfect square")
     e1 = f_sum(level, row.d0, d, row.x1)
     e2 = f_sum(level, row.d0, d, row.x2)
     outcome = Vanishing.L_VANISHES if e1.value == e2.value else Vanishing.L_NONZERO
@@ -213,6 +213,19 @@ def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
     elif gcd(-d, level) > 1:
         note = f"gcd(|D|, N) = {gcd(-d, level)} > 1: criterion applied outside the coprime case"
     return VanishingVerdict(level, d, outcome, e1, e2, note)
+
+
+def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
+    """Decide L(E_D, 1) = 0 by comparing the two registry sums."""
+    row = level_data(level)
+    if not is_fundamental_discriminant(d) or d >= 0:
+        raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
+    if not table_condition(level, d):
+        raise PreconditionError(
+            f"level {level} requires {row.condition}; D = {d} violates it")
+    if is_square(d * row.d0):
+        raise PreconditionError(f"|D*D0| = {d * row.d0} is a perfect square")
+    return compare(level, d)
 
 
 class Congruence(Enum):
@@ -249,7 +262,6 @@ def congruent_verdict(n: int) -> CongruenceVerdict:
 class ParityResult:
     p: int
     count: int
-    odd: bool
     proven_noncongruent: bool
 
 
@@ -263,8 +275,7 @@ def parity_test(p: int) -> ParityResult:
     if is_square(3 * p):
         raise PreconditionError(f"3p = {3 * p} is a perfect square")
     count = s_count(32, -3, -p, Fraction(1, 3))
-    odd = count % 2 == 1
-    return ParityResult(p, count, odd, odd)
+    return ParityResult(p, count, count % 2 == 1)
 
 
 class Cubes(Enum):

@@ -225,6 +225,8 @@ def extend_multiplicatively(ap_values: dict, level: int, m: int) -> CoefficientS
 def newform_coefficients(level: int, m: int, sources=None) -> CoefficientSeries:
     """a_1..a_m for the level's newform, via eta quotient when registered,
     else point counts on the Weierstrass model."""
+    if m < 1:
+        raise PreconditionError(f"need m >= 1, got {m}")
     src = (sources if sources is not None else default_sources()).get(level)
     if src is None:
         raise PreconditionError(f"no coefficient source registered for level {level}")

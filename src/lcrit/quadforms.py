@@ -20,18 +20,11 @@ from typing import NamedTuple
 from .arith import divisors, is_square, isqrt
 from .errors import PreconditionError
 
-# Points are reduced fractions with positive denominator; Fraction already
-# maintains exactly that normal form.
-RationalPoint = Fraction
-
 
 class Form(NamedTuple):
     a: int
     b: int
     c: int
-
-
-BinaryQuadraticForm = Form
 
 
 def as_point(x) -> Fraction:

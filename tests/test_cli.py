@@ -162,6 +162,29 @@ def test_scan_range_validation():
                   "--parallel", "1").exit_code == 2
 
 
+def test_scan_oracle_needs_fundamental_d():
+    # without --good-only the window holds D = -16, which is not fundamental
+    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
+               "--oracle", "--parallel", "1")
+    assert r.exit_code == 2
+    assert "D,f_x1" not in r.output
+    assert "D = -16" in r.output and "--oracle needs fundamental D" in r.output
+
+
+def test_negative_counts_rejected():
+    # --oracle-terms on both oracle routes (17: point counts, 32: eta quotient)
+    for level in ("17", "32"):
+        r = invoke("check", "--level", level, "--disc", "-3", "--oracle",
+                   "--oracle-terms", "-5")
+        assert r.exit_code == 2, r.output
+    assert invoke("scan", "--level", "32", "--from", "-3", "--to", "-20", "--good-only",
+                  "--oracle", "--oracle-terms", "-5", "--parallel", "1").exit_code == 2
+    assert invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
+                  "--parallel", "-4").exit_code == 2
+    assert invoke("table", "maincor", "--max-abs-d", "-5").exit_code == 2
+    assert invoke("table", "maincor", "--max-abs-d", "500", "--parallel", "-4").exit_code == 2
+
+
 def test_tables_match_frozen_values():
     r = invoke("table", "maincor", "--max-abs-d", "5000", "--parallel", "1")
     assert r.exit_code == 0

@@ -13,6 +13,7 @@ from lcrit.criterion import (
     Congruence,
     Cubes,
     Vanishing,
+    compare,
     congruent_verdict,
     cubes_verdict,
     f_sum,
@@ -55,6 +56,22 @@ EXPECTED_ROWS = {
          (19, 20, 27, 31, 40, 47, 48, 55, 59, 68, 75), {19, 20, 31, 40, 47, 55, 59, 68}),
 }
 
+# each row's printed condition, which table_condition evaluates
+EXPECTED_CONDITIONS = {
+    11: "(-11/|D|) = 1",
+    14: "(-56/|D|) = 1",
+    15: "(5/|D|) = 1 and (-3/|D|) != -1",
+    17: "(-68/|D|) = 1",
+    19: "(-19/|D|) = 1",
+    20: "|D| = 3 (mod 8) and (-20/|D|) = 1",
+    21: "(-7/|D|) = -1 and (-3/|D|) = 1",
+    24: "|D| = 3 (mod 8) and (-24/|D|) = 1",
+    27: "(-3/|D|) = 1",
+    32: "|D| = 3 (mod 8)",
+    36: "|D| = 3 (mod 8) and (-3/|D|) = -1",
+    49: "(-7/|D|) = -1",
+}
+
 
 def test_registry_rows_pinned():
     assert set(LEVELS) == set(DIMENSION_ONE_LEVELS) == set(EXPECTED_ROWS)
@@ -63,6 +80,7 @@ def test_registry_rows_pinned():
         assert row.level == level
         assert row.d0 == d0
         assert (row.x1, row.x2) == (x1, x2)
+        assert row.condition == EXPECTED_CONDITIONS[level]
         assert row.noninvariant_m == listed
         assert row.underlined_m == underlined
         assert underlined <= set(listed)
@@ -183,6 +201,27 @@ def test_vanishing_verdict_preconditions():
         vanishing_verdict(32, -3)  # |D*D0| = 9 is a perfect square
 
 
+def test_compare_is_the_bare_f_pair():
+    # -16 is not fundamental, so vanishing_verdict rejects it; compare
+    # evaluates both sums anyway, and 16 is on the level-11 list
+    with pytest.raises(PreconditionError):
+        vanishing_verdict(11, -16)
+    v = compare(11, -16)
+    assert (v.f_x1, v.f_x2) == (f_sum(11, -3, -16, 0).value,
+                                f_sum(11, -3, -16, Fraction(1, 3)).value)
+    assert v.outcome is Vanishing.L_NONZERO
+    # on every D vanishing_verdict accepts, it is compare behind its gates
+    for level in (15, 19, 27, 32):
+        row = level_data(level)
+        for d in _fundamental_negatives(400):
+            if not table_condition(level, d) or is_square(d * row.d0):
+                continue
+            v, w = compare(level, d), vanishing_verdict(level, d)
+            assert (v.f_x1, v.f_x2) == (f_sum(level, row.d0, d, row.x1).value,
+                                        f_sum(level, row.d0, d, row.x2).value)
+            assert (v.outcome, v.note) == (w.outcome, w.note), (level, d)
+
+
 def test_vanishing_verdict_notes():
     # even fundamental discriminant accepted by the literal table row
     v = vanishing_verdict(19, -20)
@@ -213,7 +252,7 @@ def test_congruent_outcome_tracks_basis():
 
 def test_parity_worked_examples():
     r = parity_test(571)
-    assert r.odd and r.count % 2 == 1
+    assert r.count % 2 == 1
     assert r.proven_noncongruent
     assert parity_test(11).count == 1
     with pytest.raises(PreconditionError):

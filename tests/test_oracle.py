@@ -71,6 +71,14 @@ def test_eta_errors():
         eta_coefficients(32, TERM_CAP + 1)
 
 
+def test_newform_coefficients_need_a_term():
+    # rejected before either route runs: eta (32) and point counts (17)
+    for level in (32, 17):
+        for m in (0, -5):
+            with pytest.raises(PreconditionError):
+                newform_coefficients(level, m)
+
+
 def test_curve_ap_worked_values():
     curve = CurveModel(0, 0, 0, -1, 0)  # y^2 = x^3 - x
     assert curve_ap(curve, 5) == -2
