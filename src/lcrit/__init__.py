@@ -13,9 +13,9 @@ from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, CongruenceVerdict, CubesVe
                         parity_test, s_count, table_condition, vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character, genus_character_m3
-from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleConfig,
-                     OracleVerdict, curve_ap, estimate_l_value, eta_coefficients,
-                     extend_multiplicatively, newform_coefficients, twisted_l_value)
+from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleVerdict, curve_ap,
+                     estimate_l_value, eta_coefficients, extend_multiplicatively,
+                     newform_coefficients, twisted_l_value)
 from .quadforms import (Form, FormSet, as_point, discriminant, enumerate_forms,
                         enumerate_forms_bruteforce, evaluate, homogeneous_value)
 

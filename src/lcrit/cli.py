@@ -19,8 +19,7 @@ from .arith import is_fundamental_discriminant, is_square
 from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
                         vanishing_verdict)
 from .errors import PreconditionError
-from .newformdata import load_newform_data
-from .oracle import OracleConfig, estimate_l_value
+from .oracle import estimate_l_value
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
@@ -75,12 +74,6 @@ def _guarded(body):
         _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
 
 
-def _sources(data_dir):
-    if data_dir is None and not os.environ.get("LCRIT_DATA_DIR"):
-        return None  # packaged default
-    return load_newform_data(data_dir)
-
-
 def _valid_pair(d: int, d0: int) -> bool:
     return d % 4 in (0, 1) and not is_square(d * d0)
 
@@ -98,16 +91,12 @@ def main():
               help="cross-check with the truncated L-series estimate")
 @click.option("--oracle-terms", type=COUNT, default=0)
 @click.option("--dump-forms", is_flag=True)
-@click.option("--data-dir", type=click.Path(), default=None)
-def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms, data_dir):
+def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
     """Verdict for one discriminant at one level."""
     def body():
         row = level_data(level)
         v = vanishing_verdict(level, disc)
-        est = None
-        if with_oracle:
-            est = estimate_l_value(level, disc, OracleConfig(terms=oracle_terms),
-                                   _sources(data_dir))
+        est = estimate_l_value(level, disc, oracle_terms) if with_oracle else None
         if as_json:
             obj = {"level": level, "D": disc, "d0": row.d0,
                    "x1": str(row.x1), "x2": str(row.x2),
@@ -173,9 +162,7 @@ def _scan_rows(jobs, parallel, chunk=None):
 @click.option("--oracle", "with_oracle", is_flag=True)
 @click.option("--oracle-terms", type=COUNT, default=0)
 @click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
-@click.option("--data-dir", type=click.Path(), default=None)
-def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
-         oracle_terms, out, data_dir):
+def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_terms, out):
     """Scan discriminants from --from down to --to, one row per valid D."""
     def body():
         row = level_data(level)
@@ -193,7 +180,10 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
                 raise PreconditionError(
                     f"--oracle needs fundamental D; D = {d} is not one (--good-only skips it)")
             accepted.append((level, d))
-        stream = open(out, "w") if out else sys.stdout
+        try:
+            stream = open(out, "w") if out else sys.stdout
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --out {out}: {exc.strerror}")
         try:
             if not as_json:
                 header = "D,f_x1,f_x2,count_x1,count_x2,verdict"
@@ -201,18 +191,17 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle,
                     header += ",oracle_verdict,oracle_value"
                 print(header, file=stream, flush=True)
             with _scan_rows(accepted, parallel) as rows:
-                _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms, data_dir)
+                _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms)
         finally:
             if out:
                 stream.close()
     _guarded(body)
 
 
-def _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms, data_dir):
-    sources = _sources(data_dir) if with_oracle else None
+def _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms):
     for r in rows:
         if with_oracle:
-            est = estimate_l_value(level, r.d, OracleConfig(terms=oracle_terms), sources)
+            est = estimate_l_value(level, r.d, oracle_terms)
             r.oracle_verdict = est.verdict.value
             r.oracle_value = est.value
         line = json.dumps(r.json_obj(with_oracle)) if as_json else r.csv(with_oracle)

@@ -11,7 +11,7 @@ agree at x1 and x2.  Everything here is exact integer arithmetic.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -201,18 +201,13 @@ class VanishingVerdict:
 
 def compare(level: int, d: int) -> VanishingVerdict:
     """Evaluate F at the registry row's x1 and x2 and compare.  Only f_sum
-    checks D, which need not be fundamental or good; see vanishing_verdict."""
+    checks D, which need not be fundamental or good, and the note stays
+    empty: the domain gates and their note belong to vanishing_verdict."""
     row = level_data(level)
     e1 = f_sum(level, row.d0, d, row.x1)
     e2 = f_sum(level, row.d0, d, row.x2)
     outcome = Vanishing.L_VANISHES if e1.value == e2.value else Vanishing.L_NONZERO
-    note = ""
-    if d % 2 == 0:
-        note = ("even discriminant: accepted via the level table condition; "
-                "the odd-discriminant goodness rules do not cover it")
-    elif gcd(-d, level) > 1:
-        note = f"gcd(|D|, N) = {gcd(-d, level)} > 1: criterion applied outside the coprime case"
-    return VanishingVerdict(level, d, outcome, e1, e2, note)
+    return VanishingVerdict(level, d, outcome, e1, e2)
 
 
 def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
@@ -225,7 +220,13 @@ def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
             f"level {level} requires {row.condition}; D = {d} violates it")
     if is_square(d * row.d0):
         raise PreconditionError(f"|D*D0| = {d * row.d0} is a perfect square")
-    return compare(level, d)
+    note = ""
+    if d % 2 == 0:
+        note = ("even discriminant: accepted via the level table condition; "
+                "the odd-discriminant goodness rules do not cover it")
+    elif gcd(-d, level) > 1:
+        note = f"gcd(|D|, N) = {gcd(-d, level)} > 1: criterion applied outside the coprime case"
+    return replace(compare(level, d), note=note)
 
 
 class Congruence(Enum):

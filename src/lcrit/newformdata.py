@@ -7,13 +7,11 @@ a list of objects {"level": int, "eta": [[d, e], ...] | null,
 """
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
 
-DATA_ENV_VAR = "LCRIT_DATA_DIR"
 _DEFAULT_DIR = Path(__file__).parent / "data"
 _FILENAME = "newforms.json"
 
@@ -25,10 +23,6 @@ class NewformSource:
     level: int
     eta: tuple  # ((d, e), ...) or ()
     weierstrass: tuple  # (a1, a2, a3, a4, a6) or ()
-
-    @property
-    def kind(self) -> str:
-        return "eta" if self.eta else "curve"
 
 
 def _validate_entry(entry) -> NewformSource:
@@ -63,11 +57,8 @@ def _validate_entry(entry) -> NewformSource:
     return NewformSource(level, eta, wm)
 
 
-def load_newform_data(data_dir=None) -> dict:
-    """Read and validate newforms.json from data_dir (default: packaged data,
-    overridable via the LCRIT_DATA_DIR environment variable)."""
-    if data_dir is None:
-        data_dir = os.environ.get(DATA_ENV_VAR) or _DEFAULT_DIR
+def load_newform_data(data_dir=_DEFAULT_DIR) -> dict:
+    """Read and validate newforms.json from data_dir (default: packaged data)."""
     path = Path(data_dir) / _FILENAME
     try:
         raw = json.loads(path.read_text())
@@ -90,8 +81,8 @@ _default_cache = None
 
 
 def default_sources() -> dict:
-    """Packaged sources, loaded once (ignores the environment override)."""
+    """Packaged sources, loaded once."""
     global _default_cache
     if _default_cache is None:
-        _default_cache = load_newform_data(_DEFAULT_DIR)
+        _default_cache = load_newform_data()
     return _default_cache

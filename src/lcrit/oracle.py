@@ -24,6 +24,10 @@ from .errors import DataError, PreconditionError
 from .newformdata import NewformSource, default_sources
 
 TERM_CAP = 10 ** 7
+# |value| + tail below T_ZERO decides Zero; |value| - tail above T_NONZERO
+# decides Nonzero; anything between is Indeterminate
+T_ZERO = 1e-3
+T_NONZERO = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +44,6 @@ class CoefficientSeries:
     def __len__(self):
         return len(self.a) - 1
 
-    @property
-    def terms(self):
-        return self.a[1:]
-
 
 def _pentagonal_pairs(limit: int):
     """(exponent, sign) pairs of prod (1 - q^n) up to the given degree."""
@@ -58,14 +58,14 @@ def _pentagonal_pairs(limit: int):
     return pairs
 
 
-def eta_coefficients(level: int, m: int, sources=None) -> CoefficientSeries:
+def eta_coefficients(level: int, m: int) -> CoefficientSeries:
     """Expand the registered eta quotient for the level through q^m and
     return a_1..a_m (the leading q^(sum d*e/24) shift is accounted for)."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
     if m > TERM_CAP:
         raise PreconditionError(f"m = {m} exceeds the term cap {TERM_CAP}")
-    src = (sources if sources is not None else default_sources()).get(level)
+    src = default_sources().get(level)
     if src is None or not src.eta:
         raise PreconditionError(f"no eta-quotient expansion registered for level {level}")
     weight_sum = sum(d * e for d, e in src.eta)
@@ -222,16 +222,16 @@ def extend_multiplicatively(ap_values: dict, level: int, m: int) -> CoefficientS
     return CoefficientSeries(level, a)
 
 
-def newform_coefficients(level: int, m: int, sources=None) -> CoefficientSeries:
+def newform_coefficients(level: int, m: int) -> CoefficientSeries:
     """a_1..a_m for the level's newform, via eta quotient when registered,
     else point counts on the Weierstrass model."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
-    src = (sources if sources is not None else default_sources()).get(level)
+    src = default_sources().get(level)
     if src is None:
         raise PreconditionError(f"no coefficient source registered for level {level}")
     if src.eta:
-        return eta_coefficients(level, m, sources)
+        return eta_coefficients(level, m)
     curve = CurveModel.from_source(src)
     ap = {}
     for p in _prime_sieve(m):
@@ -244,13 +244,6 @@ class OracleVerdict(Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
     INDETERMINATE = "indeterminate"
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    t_zero: float = 1e-3
-    t_nonzero: float = 1e-2
-    terms: int = 0  # 0: use every supplied coefficient
 
 
 @dataclass(frozen=True)
@@ -285,16 +278,17 @@ _COEFF_SLOPE = 1.75
 
 
 def twisted_l_value(level: int, d: int, coeffs: CoefficientSeries,
-                    config: OracleConfig = OracleConfig()) -> LValueEstimate:
-    """Estimate L(E_d, 1) from the first M coefficients with a rigorous
-    truncation bound; decide Zero / Nonzero only outside the uncertainty band.
+                    terms: int = 0) -> LValueEstimate:
+    """Estimate L(E_d, 1) from the first `terms` coefficients (0: all of
+    them) with a rigorous truncation bound; decide Zero / Nonzero only
+    outside the uncertainty band [T_ZERO, T_NONZERO].
     """
     if not is_fundamental_discriminant(d) or d >= 0:
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
     if coeffs.level != level:
         raise PreconditionError(
             f"coefficient series is for level {coeffs.level}, not {level}")
-    m = config.terms if config.terms else len(coeffs)
+    m = terms or len(coeffs)
     if m < 1:
         raise PreconditionError(f"need at least one term, got {m}")
     if m > len(coeffs):
@@ -308,9 +302,9 @@ def twisted_l_value(level: int, d: int, coeffs: CoefficientSeries,
     value = 2.0 * float(np.sum(coeffs.a[1:m + 1] * chi * weights))
     r = math.exp(-decay)
     tail = 2.0 * _COEFF_SLOPE * r ** (m + 1) / (1.0 - r)
-    if abs(value) + tail < config.t_zero:
+    if abs(value) + tail < T_ZERO:
         verdict = OracleVerdict.ZERO
-    elif abs(value) - tail > config.t_nonzero:
+    elif abs(value) - tail > T_NONZERO:
         verdict = OracleVerdict.NONZERO
     else:
         verdict = OracleVerdict.INDETERMINATE
@@ -323,11 +317,10 @@ def twisted_l_value(level: int, d: int, coeffs: CoefficientSeries,
     return LValueEstimate(d, value, m, tail, verdict, tuple(caveats))
 
 
-def estimate_l_value(level: int, d: int, config: OracleConfig = OracleConfig(),
-                     sources=None) -> LValueEstimate:
-    """Build just enough coefficients for the default truncation and estimate."""
-    m = config.terms if config.terms else default_terms(level, d)
+def estimate_l_value(level: int, d: int, terms: int = 0) -> LValueEstimate:
+    """Estimate L(E_d, 1) for the level's packaged newform from its first
+    `terms` coefficients (0: default_terms)."""
+    m = terms or default_terms(level, d)
     if m > TERM_CAP:
         raise PreconditionError(f"terms = {m} exceeds the cap {TERM_CAP}")
-    coeffs = newform_coefficients(level, m, sources)
-    return twisted_l_value(level, d, coeffs, OracleConfig(config.t_zero, config.t_nonzero, m))
+    return twisted_l_value(level, d, newform_coefficients(level, m))

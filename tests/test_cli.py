@@ -1,22 +1,26 @@
 """Command-line interface: exit codes, CSV/JSON schemas, scan determinism
-across worker counts, reference-table comparison, and data-dir overrides."""
+across worker counts, oracle columns, reference-table comparison, and the
+options the README names."""
 
 import json
 import os
-import shutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import lcrit
-from lcrit import newformdata, reference
+from lcrit import reference
 from lcrit.cli import main
+from lcrit.oracle import estimate_l_value
 
-PACKAGED_DATA = Path(newformdata.__file__).parent / "data"
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 # the directory holding the lcrit package this test process imported
 PACKAGE_PARENT = Path(lcrit.__file__).resolve().parent.parent
 
@@ -31,8 +35,8 @@ if __name__ == "__main__":
 """
 
 
-def invoke(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+def invoke(*args):
+    return CliRunner().invoke(main, list(args))
 
 
 def test_check_reports_both_sums():
@@ -121,12 +125,29 @@ def test_scan_empty_range_header_only():
 
 
 def test_scan_deterministic_across_workers():
-    serial = invoke("scan", "--level", "32", "--from", "-3", "--to", "-400",
-                    "--parallel", "1")
-    parallel = invoke("scan", "--level", "32", "--from", "-3", "--to", "-400",
-                      "--parallel", "8")
-    assert serial.exit_code == 0 and parallel.exit_code == 0
-    assert serial.output == parallel.output
+    for extra in ((), ("--good-only", "--oracle")):
+        window = ("scan", "--level", "32", "--from", "-3", "--to", "-400", *extra)
+        serial = invoke(*window, "--parallel", "1")
+        parallel = invoke(*window, "--parallel", "8")
+        assert serial.exit_code == 0 and parallel.exit_code == 0, extra
+        assert serial.output == parallel.output, extra
+
+
+def test_scan_oracle_rows_use_oracle_terms():
+    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
+               "--oracle", "--oracle-terms", "50", "--parallel", "1")
+    assert r.exit_code == 0
+    lines = r.output.strip().splitlines()
+    assert lines[0] == "D,f_x1,f_x2,count_x1,count_x2,verdict,oracle_verdict,oracle_value"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        d, *_, oracle_verdict, oracle_value = line.split(",")
+        est = estimate_l_value(32, int(d), 50)
+        assert (oracle_verdict, oracle_value) == (est.verdict.value, f"{est.value:.6g}"), d
+    r = invoke("check", "--level", "32", "--disc", "-219", "--oracle", "--json",
+               "--oracle-terms", "50")
+    assert r.exit_code == 0
+    assert json.loads(r.output)["oracle"]["terms"] == 50
 
 
 def test_scan_json_roundtrip():
@@ -151,6 +172,15 @@ def test_scan_to_file(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "D,f_x1,f_x2,count_x1,count_x2,verdict"
     assert len(lines) > 1
+
+
+def test_scan_out_unwritable(tmp_path):
+    out = tmp_path / "missing" / "rows.csv"
+    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
+               "--parallel", "1", "--out", str(out))
+    assert r.exit_code == 2, r.output
+    assert str(out) in r.output
+    assert not out.parent.exists()
 
 
 def test_scan_range_validation():
@@ -231,25 +261,23 @@ def test_cubes_command():
     assert invoke("cubes", "5").exit_code == 2
 
 
-def test_data_dir_env_override(tmp_path, monkeypatch):
-    # a data dir without newforms.json only breaks commands that need it
-    monkeypatch.setenv("LCRIT_DATA_DIR", str(tmp_path))
-    r = invoke("check", "--level", "32", "--disc", "-11")
-    assert r.exit_code == 0
-    r = invoke("check", "--level", "32", "--disc", "-11", "--oracle")
-    assert r.exit_code == 2
-    # a complete override directory restores the oracle path
-    shutil.copy(PACKAGED_DATA / "newforms.json", tmp_path / "newforms.json")
-    r = invoke("check", "--level", "32", "--disc", "-11", "--oracle")
-    assert r.exit_code == 0
-    assert "oracle: nonzero" in r.output
+def _readme_options():
+    """--options named in README sections other than Install and Tests,
+    which name pip's and pytest's options rather than lcrit's."""
+    sections = re.split(r"^## ", README.read_text(), flags=re.M)
+    return {opt for section in sections
+            if section.split("\n", 1)[0].strip() not in ("Install", "Tests")
+            for opt in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)}
 
 
-def test_data_dir_flag(tmp_path):
-    shutil.copy(PACKAGED_DATA / "newforms.json", tmp_path / "newforms.json")
-    r = invoke("check", "--level", "32", "--disc", "-11", "--oracle",
-               "--data-dir", str(tmp_path))
-    assert r.exit_code == 0
+def test_readme_options_exist():
+    known = set()
+    for command in (main, *main.commands.values()):
+        for param in command.get_params(click.Context(command)):
+            known.update(param.opts, param.secondary_opts)
+    named = _readme_options()
+    assert "--good-only" in named
+    assert named <= known, sorted(named - known)
 
 
 def run_python(args, cwd, timeout):

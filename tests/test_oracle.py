@@ -14,10 +14,11 @@ from lcrit.criterion import DIMENSION_ONE_LEVELS
 from lcrit.errors import DataError, PreconditionError
 from lcrit.newformdata import NewformSource, load_newform_data, default_sources
 from lcrit.oracle import (
+    T_NONZERO,
+    T_ZERO,
     TERM_CAP,
     CoefficientSeries,
     CurveModel,
-    OracleConfig,
     OracleVerdict,
     curve_ap,
     default_terms,
@@ -38,10 +39,8 @@ def test_registered_sources_cover_all_levels():
     for level in ETA_LEVELS:
         assert sources[level].eta
         assert sum(d * e for d, e in sources[level].eta) == 24
-        assert sources[level].kind == "eta"
     for level in CURVE_ONLY_LEVELS:
         assert not sources[level].eta
-        assert sources[level].kind == "curve"
 
 
 def test_registered_models_have_level_support():
@@ -185,22 +184,21 @@ def test_default_terms():
 
 
 def test_verdict_band_definition():
-    config = OracleConfig()
     coeffs = newform_coefficients(32, default_terms(32, -571))
     for d in (-11, -19, -35, -219, -571):
         est = twisted_l_value(32, d, coeffs)
         if est.verdict is OracleVerdict.ZERO:
-            assert abs(est.value) + est.tail_bound < config.t_zero
+            assert abs(est.value) + est.tail_bound < T_ZERO
         elif est.verdict is OracleVerdict.NONZERO:
-            assert abs(est.value) - est.tail_bound > config.t_nonzero
+            assert abs(est.value) - est.tail_bound > T_NONZERO
         else:
-            assert abs(est.value) + est.tail_bound >= config.t_zero
-            assert abs(est.value) - est.tail_bound <= config.t_nonzero
+            assert abs(est.value) + est.tail_bound >= T_ZERO
+            assert abs(est.value) - est.tail_bound <= T_NONZERO
 
 
 def test_short_truncation_is_indeterminate():
     coeffs = newform_coefficients(32, 2000)
-    est = twisted_l_value(32, -571, coeffs, OracleConfig(terms=5))
+    est = twisted_l_value(32, -571, coeffs, terms=5)
     assert est.verdict is OracleVerdict.INDETERMINATE
     assert est.terms_used == 5
 
@@ -212,7 +210,7 @@ def test_monotone_refinement():
         coeffs = newform_coefficients(level, 2 * full)
         decided = []
         for m in (full // 4, full // 2, full, 2 * full):
-            est = twisted_l_value(level, d, coeffs, OracleConfig(terms=m))
+            est = twisted_l_value(level, d, coeffs, terms=m)
             if est.verdict is not OracleVerdict.INDETERMINATE:
                 decided.append(est.verdict)
         assert decided, (level, d)
@@ -228,15 +226,15 @@ def test_twisted_preconditions():
     with pytest.raises(PreconditionError):
         twisted_l_value(27, -11, coeffs)  # level mismatch
     with pytest.raises(PreconditionError):
-        twisted_l_value(32, -11, coeffs, OracleConfig(terms=101))
+        twisted_l_value(32, -11, coeffs, terms=101)
 
 
 def test_caveats():
     est = estimate_l_value(32, -11)
     assert any("sign" in c for c in est.caveats)
-    est = estimate_l_value(15, -39, OracleConfig(terms=500))
+    est = estimate_l_value(15, -39, terms=500)
     assert any("gcd" in c for c in est.caveats)
-    est = estimate_l_value(27, -4, OracleConfig(terms=500))
+    est = estimate_l_value(27, -4, terms=500)
     assert any("even D" in c for c in est.caveats)
 
 
