@@ -6,11 +6,11 @@ quadratic forms; equality decides vanishing.  See criterion.vanishing_verdict
 (criterion.compare without its domain gates) and cli for the command line.
 """
 
-from .arith import divisors, is_fundamental_discriminant, is_prime, isqrt, kronecker
-from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, CongruenceVerdict, CubesVerdict,
-                        FEvaluation, LevelData, ParityResult, Vanishing, VanishingVerdict,
-                        compare, congruent_verdict, cubes_verdict, f_sum, is_good, level_data,
-                        parity_test, s_count, table_condition, vanishing_verdict)
+from .arith import divisors, is_fundamental_discriminant, is_prime, kronecker
+from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, DerivedVerdict, FEvaluation, LevelData,
+                        ParityResult, Vanishing, VanishingVerdict, compare, congruent_verdict,
+                        cubes_verdict, f_sum, is_good, level_data, parity_test, table_condition,
+                        vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character, genus_character_m3
 from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleVerdict, curve_ap,

@@ -1,8 +1,7 @@
-"""Elementary number-theoretic helpers: Kronecker symbol, primality, divisors."""
+"""Elementary number-theoretic helpers: Kronecker symbol, primality,
+factorization, and divisors built from the factorization."""
 
 import math
-
-isqrt = math.isqrt
 
 
 def kronecker(a: int, n: int) -> int:
@@ -98,24 +97,21 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list:
-    """All positive divisors of n >= 1, ascending."""
+    """All positive divisors of n >= 1, ascending, multiplied out from
+    factorize(n) one prime power at a time."""
     if n < 1:
         raise ValueError("divisors expects n >= 1")
-    small = []
-    large = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    small.extend(reversed(large))
-    return small
+    out = [1]
+    for p, e in factorize(n).items():
+        powers = [p ** k for k in range(e + 1)]
+        out = [d * pk for d in out for pk in powers]
+    out.sort()
+    return out
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization of n >= 1 as {p: exponent} by trial division."""
+    """Prime factorization of n >= 1 as {p: exponent} by trial division over
+    2, 3 and the 6k +- 1 wheel, up to the square root of what is left."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = {}

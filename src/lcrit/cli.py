@@ -19,13 +19,14 @@ from .arith import is_fundamental_discriminant, is_square
 from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
                         vanishing_verdict)
 from .errors import PreconditionError
-from .oracle import estimate_l_value
+from .oracle import TERM_CAP, estimate_l_value
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
 COUNT = click.IntRange(min=0)
+ORACLE_TERMS = click.IntRange(min=0, max=TERM_CAP)
 
 
 @dataclass
@@ -89,7 +90,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--oracle", "with_oracle", is_flag=True,
               help="cross-check with the truncated L-series estimate")
-@click.option("--oracle-terms", type=COUNT, default=0)
+@click.option("--oracle-terms", type=ORACLE_TERMS, default=0)
 @click.option("--dump-forms", is_flag=True)
 def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
     """Verdict for one discriminant at one level."""
@@ -160,7 +161,7 @@ def _scan_rows(jobs, parallel, chunk=None):
 @click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 @click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
 @click.option("--oracle", "with_oracle", is_flag=True)
-@click.option("--oracle-terms", type=COUNT, default=0)
+@click.option("--oracle-terms", type=ORACLE_TERMS, default=0)
 @click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_terms, out):
     """Scan discriminants from --from down to --to, one row per valid D."""

@@ -131,11 +131,6 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
     return FEvaluation(d=d, x=forms.x, value=value, count=len(forms), forms=forms)
 
 
-def s_count(level: int, d0: int, d: int, x) -> int:
-    """Unweighted cardinality of the same solution set."""
-    return f_sum(level, d0, d, x).count
-
-
 def is_good(level: int, d: int) -> bool:
     """Goodness rules for odd fundamental D < 0 at level N:
     (1) N nonsquare: (-4N/|D|) = 1; (2) 2 | N: |D| = 3 (mod 8);
@@ -234,29 +229,38 @@ class Congruence(Enum):
     CONGRUENT_ASSUMING_BSD = "congruent assuming BSD"
 
 
+class Cubes(Enum):
+    FINITE_PROVEN = "finitely many rational points (unconditional)"
+    INFINITE_ASSUMING_BSD = "infinitely many rational points assuming BSD"
+
+
 @dataclass(frozen=True)
-class CongruenceVerdict:
+class DerivedVerdict:
+    """A verdict about n read off the vanishing verdict at D = -n."""
+
     n: int
-    outcome: Congruence
+    outcome: Enum
     basis: VanishingVerdict
 
 
-def congruent_verdict(n: int) -> CongruenceVerdict:
-    """Congruent-number decision for n = 3 (mod 8) via the level-32 twist."""
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
-    if n % 8 != 3:
-        raise PreconditionError(f"n = 3 (mod 8) required, got {n} = {n % 8} (mod 8)")
-    if not is_fundamental_discriminant(-n):
-        raise PreconditionError(f"-{n} is not a fundamental discriminant")
-    if is_square(3 * n):
-        raise PreconditionError(f"3n = {3 * n} is a perfect square")
-    basis = vanishing_verdict(32, -n)
-    if basis.outcome is Vanishing.L_NONZERO:
-        outcome = Congruence.PROVEN_NON_CONGRUENT
-    else:
-        outcome = Congruence.CONGRUENT_ASSUMING_BSD
-    return CongruenceVerdict(n, outcome, basis)
+def _derived(level: int, n: int, if_nonzero: Enum, if_vanishes: Enum) -> DerivedVerdict:
+    basis = vanishing_verdict(level, -n)
+    nonzero = basis.outcome is Vanishing.L_NONZERO
+    return DerivedVerdict(n, if_nonzero if nonzero else if_vanishes, basis)
+
+
+def congruent_verdict(n: int) -> DerivedVerdict:
+    """Congruent-number decision for n = 3 (mod 8) via the level-32 twist;
+    vanishing_verdict(32, -n) checks n against the level's condition."""
+    return _derived(32, n, Congruence.PROVEN_NON_CONGRUENT,
+                    Congruence.CONGRUENT_ASSUMING_BSD)
+
+
+def cubes_verdict(n: int) -> DerivedVerdict:
+    """Finiteness of rational points on x^3 + n*y^2 = 432 (twists of the
+    Fermat cubic) for n = 1 (mod 3) via the level-27 twist;
+    vanishing_verdict(27, -n) checks n against the level's condition."""
+    return _derived(27, n, Cubes.FINITE_PROVEN, Cubes.INFINITE_ASSUMING_BSD)
 
 
 @dataclass(frozen=True)
@@ -273,38 +277,5 @@ def parity_test(p: int) -> ParityResult:
         raise PreconditionError(f"p must be prime, got {p}")
     if p % 8 != 3:
         raise PreconditionError(f"p = 3 (mod 8) required, got {p} = {p % 8} (mod 8)")
-    if is_square(3 * p):
-        raise PreconditionError(f"3p = {3 * p} is a perfect square")
-    count = s_count(32, -3, -p, Fraction(1, 3))
+    count = f_sum(32, -3, -p, Fraction(1, 3)).count
     return ParityResult(p, count, count % 2 == 1)
-
-
-class Cubes(Enum):
-    FINITE_PROVEN = "finitely many rational points (unconditional)"
-    INFINITE_ASSUMING_BSD = "infinitely many rational points assuming BSD"
-
-
-@dataclass(frozen=True)
-class CubesVerdict:
-    n: int
-    outcome: Cubes
-    basis: VanishingVerdict
-
-
-def cubes_verdict(n: int) -> CubesVerdict:
-    """Finiteness of rational points on x^3 + n*y^2 = 432 (twists of the
-    Fermat cubic) for n = 1 (mod 3) via the level-27 twist."""
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
-    if not is_fundamental_discriminant(-n):
-        raise PreconditionError(f"-{n} is not a fundamental discriminant")
-    if n % 3 != 1:
-        raise PreconditionError(f"n = 1 (mod 3) required, got {n} = {n % 3} (mod 3)")
-    if is_square(4 * n):
-        raise PreconditionError(f"4n = {4 * n} is a perfect square")
-    basis = vanishing_verdict(27, -n)
-    if basis.outcome is Vanishing.L_NONZERO:
-        outcome = Cubes.FINITE_PROVEN
-    else:
-        outcome = Cubes.INFINITE_ASSUMING_BSD
-    return CubesVerdict(n, outcome, basis)

@@ -32,7 +32,8 @@ def _validate_entry(entry) -> NewformSource:
     if unknown:
         raise DataError(f"unknown newform entry keys: {sorted(unknown)}")
     level = entry.get("level")
-    if not isinstance(level, int) or level < 1:
+    # `type(v) is int`, not isinstance: JSON true/false load as bool, an int subclass
+    if type(level) is not int or level < 1:
         raise DataError(f"bad level in newform entry: {level!r}")
     eta = entry.get("eta")
     if eta is None:
@@ -42,14 +43,14 @@ def _validate_entry(entry) -> NewformSource:
             raise DataError(f"level {level}: eta must be a nonempty list of [d, e] pairs")
         for pair in eta:
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair) or pair[0] < 1 or pair[1] == 0):
+                    or not all(type(v) is int for v in pair) or pair[0] < 1 or pair[1] == 0):
                 raise DataError(f"level {level}: bad eta factor {pair!r}")
         eta = tuple((d, e) for d, e in eta)
     wm = entry.get("weierstrass")
     if wm is None:
         wm = ()
     else:
-        if not isinstance(wm, list) or len(wm) != 5 or not all(isinstance(v, int) for v in wm):
+        if not isinstance(wm, list) or len(wm) != 5 or not all(type(v) is int for v in wm):
             raise DataError(f"level {level}: weierstrass must be 5 integers, got {wm!r}")
         wm = tuple(wm)
     if not eta and not wm:

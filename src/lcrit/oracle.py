@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import is_fundamental_discriminant, is_prime, isqrt, kronecker
+from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import DataError, PreconditionError
 from .newformdata import NewformSource, default_sources
 
@@ -178,7 +178,7 @@ def _bad_ap(curve: CurveModel, p: int) -> int:
 def _prime_sieve(m: int) -> np.ndarray:
     mask = np.ones(m + 1, dtype=bool)
     mask[:2] = False
-    for p in range(2, isqrt(m) + 1):
+    for p in range(2, math.isqrt(m) + 1):
         if mask[p]:
             mask[p * p::p] = False
     return np.flatnonzero(mask)

@@ -13,11 +13,12 @@ which pins |b*q + 2*a*p| below q*sqrt(Delta) and makes (-a)*Q(p, q) a
 bounded positive integer, so both factors range over divisor pairs.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import divisors, is_square, isqrt
+from .arith import divisors, is_square
 from .errors import PreconditionError
 
 
@@ -81,7 +82,7 @@ def _check_args(level: int, delta: int, x) -> Fraction:
     if delta <= 0 or delta % 4 not in (0, 1):
         raise PreconditionError(f"Delta must be a positive discriminant, got {delta}")
     if is_square(delta):
-        raise PreconditionError(f"Delta must be nonsquare, got {delta} = {isqrt(delta)}^2")
+        raise PreconditionError(f"Delta must be nonsquare, got {delta} = {math.isqrt(delta)}^2")
     return as_point(x)
 
 
@@ -92,12 +93,13 @@ def enumerate_forms(level: int, delta: int, x) -> FormSet:
     For each admissible t = b*q + 2*a*p the quantity
     n = (delta*q^2 - t^2) / 4 factors as (-a) * Q(p, q), and level | a forces
     level | n; every -a is then level*d for a divisor d of n/level, and b, c
-    are determined by t and the discriminant.
+    are determined by t and the discriminant.  Once c is integral the
+    identity gives Q(p, q) = n / (-a) > 0, so no value test follows.
     """
     x = _check_args(level, delta, x)
     p, q = x.numerator, x.denominator
     cap = delta * q * q
-    tmax = isqrt(cap - 1)
+    tmax = math.isqrt(cap - 1)
     found = []
     for t in range(-tmax, tmax + 1):
         rem = cap - t * t
@@ -116,10 +118,7 @@ def enumerate_forms(level: int, delta: int, x) -> FormSet:
             cnum = b * b - delta
             if cnum % (4 * a):
                 continue
-            c = cnum // (4 * a)
-            form = Form(a, b, c)
-            if homogeneous_value(form, p, q) == n // big_a:
-                found.append(form)
+            found.append(Form(a, b, cnum // (4 * a)))
     found.sort()
     return FormSet(level, delta, x, tuple(found))
 
@@ -137,7 +136,7 @@ def enumerate_forms_bruteforce(level: int, delta: int, x, slack: int = 1) -> For
     x = _check_args(level, delta, x)
     p, q = x.numerator, x.denominator
     acap = slack * delta * q * q
-    tcap = slack * q * isqrt(delta) + q
+    tcap = slack * q * math.isqrt(delta) + q
     found = []
     for big_a in range(level, acap + 1, level):
         a = -big_a

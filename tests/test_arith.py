@@ -1,5 +1,5 @@
 """Exact-integer arithmetic: Kronecker symbol conventions, discriminant
-classification, primality, divisor lists, and integer square roots."""
+classification, primality, factorization, and divisor lists."""
 
 import math
 import random
@@ -11,7 +11,6 @@ from lcrit.arith import (
     is_prime,
     is_square,
     is_squarefree,
-    isqrt,
     kronecker,
 )
 
@@ -94,20 +93,6 @@ def test_kronecker_periodic_in_n_for_fundamental_a():
         for _ in range(200):
             n = rng.randint(1, 10 ** 6)
             assert kronecker(d, n) == kronecker(d, n % abs(d) + abs(d))
-
-
-def test_isqrt_worked_values():
-    assert isqrt(0) == 0
-    assert isqrt(33) == 5
-    assert isqrt(297) == 17
-
-
-def test_isqrt_bracketing():
-    rng = random.Random(20821)
-    for _ in range(10 ** 5):
-        n = rng.randint(0, 10 ** 18)
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 def test_is_fundamental_worked_values():
@@ -205,6 +190,26 @@ def test_divisors_sorted_and_complete():
         ds = divisors(n)
         assert ds == sorted(ds)
         assert ds == [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _pair_divisors(n):
+    # independent reference: trial pairs k, n // k for k up to sqrt(n)
+    small, large = [], []
+    for k in range(1, math.isqrt(n) + 1):
+        if n % k == 0:
+            small.append(k)
+            if k != n // k:
+                large.append(n // k)
+    return small + large[::-1]
+
+
+def test_divisors_large_n():
+    # the enumeration asks for divisors of n up to about 1e7 and beyond
+    rng = random.Random(20825)
+    cases = [2 ** 33, 3 ** 20, 1009 ** 2, 1013 ** 3, 30011 * 30013, 99991 ** 2, 720720, 1]
+    cases += [rng.randint(1, 10 ** 10) for _ in range(300)]
+    for n in cases:
+        assert divisors(n) == _pair_divisors(n), n
 
 
 def test_factorize_reconstructs():

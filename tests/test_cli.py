@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import lcrit
 from lcrit import reference
 from lcrit.cli import main
-from lcrit.oracle import estimate_l_value
+from lcrit.oracle import TERM_CAP, estimate_l_value
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -215,6 +215,19 @@ def test_negative_counts_rejected():
     assert invoke("table", "maincor", "--max-abs-d", "500", "--parallel", "-4").exit_code == 2
 
 
+def test_oracle_terms_above_cap_rejected():
+    # refused while parsing options: no header, no pool, no oracle call
+    too_many = str(TERM_CAP + 1)
+    r = invoke("check", "--level", "32", "--disc", "-11", "--oracle", "--oracle-terms", too_many)
+    assert r.exit_code == 2, r.output
+    for parallel in ("1", "2"):
+        r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-200", "--good-only",
+                   "--oracle", "--oracle-terms", too_many, "--parallel", parallel)
+        assert r.exit_code == 2, r.output
+        assert "D,f_x1" not in r.output
+        assert "--oracle-terms" in r.output
+
+
 def test_tables_match_frozen_values():
     r = invoke("table", "maincor", "--max-abs-d", "5000", "--parallel", "1")
     assert r.exit_code == 0
@@ -278,6 +291,23 @@ def test_readme_options_exist():
     named = _readme_options()
     assert "--good-only" in named
     assert named <= known, sorted(named - known)
+
+
+def test_readme_library_lines_hold():
+    # each `expr  # value` line of README's Library block prints as its comment
+    sections = re.split(r"^## ", README.read_text(), flags=re.M)
+    block = next(re.search(r"```python\n(.*?)```", s, flags=re.S).group(1)
+                 for s in sections if s.startswith("Library\n"))
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, value = line.partition("#")
+        if not value:
+            exec(code, namespace)  # the imports
+            continue
+        assert str(eval(code, namespace)) == value.strip(), code
+        checked += 1
+    assert checked == 6
 
 
 def run_python(args, cwd, timeout):

@@ -20,7 +20,6 @@ from lcrit.criterion import (
     is_good,
     level_data,
     parity_test,
-    s_count,
     table_condition,
     vanishing_verdict,
 )
@@ -109,13 +108,14 @@ def test_f_sum_worked_examples():
 
 
 def test_s_count_worked_examples():
-    assert s_count(32, -3, -11, Fraction(1, 3)) == 1
-    assert s_count(32, -3, -11, 0) == 0
-    assert s_count(32, -3, -571, Fraction(1, 3)) % 2 == 1
+    # the unweighted cardinality of S_{N, D*D0}(x)
+    assert f_sum(32, -3, -11, Fraction(1, 3)).count == 1
+    assert f_sum(32, -3, -11, 0).count == 0
+    assert f_sum(32, -3, -571, Fraction(1, 3)).count % 2 == 1
 
 
 def test_s_count_agrees_with_bruteforce():
-    got = s_count(32, -3, -571, Fraction(1, 3))
+    got = f_sum(32, -3, -571, Fraction(1, 3)).count
     assert got == len(enumerate_forms_bruteforce(32, 3 * 571, Fraction(1, 3)))
 
 
@@ -252,6 +252,20 @@ def test_congruent_outcome_tracks_basis():
         assert (v.outcome is Congruence.PROVEN_NON_CONGRUENT) == proven
 
 
+def test_derived_verdicts_are_vanishing_verdicts():
+    # n is checked only by vanishing_verdict at D = -n: same rejections, same basis
+    for derived, level in ((congruent_verdict, 32), (cubes_verdict, 27)):
+        for n in range(-5, 3000):
+            try:
+                expected = vanishing_verdict(level, -n)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    derived(n)
+                continue
+            v = derived(n)
+            assert (v.n, v.basis) == (n, expected), (level, n)
+
+
 def test_parity_worked_examples():
     r = parity_test(571)
     assert r.count % 2 == 1
@@ -261,6 +275,8 @@ def test_parity_worked_examples():
         parity_test(5)  # wrong residue class
     with pytest.raises(PreconditionError):
         parity_test(33)  # not prime
+    with pytest.raises(PreconditionError):
+        parity_test(3)  # 3p = 9 is a perfect square
 
 
 def test_cubes_worked_examples():

@@ -261,6 +261,10 @@ def test_data_loader_rejects_malformed(tmp_path):
         [{"level": 32, "eta": [[4, 2]], "weierstrass": None, "extra": 1}],
         [{"level": 32, "eta": [[4, 2]], "weierstrass": None},
          {"level": 32, "eta": [[4, 2]], "weierstrass": None}],  # duplicate
+        # JSON booleans are not integers
+        [{"level": True, "eta": [[4, 2], [8, 2]], "weierstrass": None}],
+        [{"level": 32, "eta": [[True, 24]], "weierstrass": None}],
+        [{"level": 32, "eta": None, "weierstrass": [0, 0, 0, False, True]}],
     ]
     for payload in bad_payloads:
         path = _write_sources(tmp_path, payload)
