@@ -14,8 +14,8 @@ from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, DerivedVerdict, FEvaluatio
 from .errors import DataError, PreconditionError
 from .genus import genus_character, genus_character_m3
 from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleVerdict, curve_ap,
-                     estimate_l_value, eta_coefficients, extend_multiplicatively,
-                     newform_coefficients, twisted_l_value)
+                     estimate_l_value, estimate_l_values, eta_coefficients,
+                     extend_multiplicatively, newform_coefficients, twisted_l_value)
 from .quadforms import (Form, FormSet, as_point, discriminant, enumerate_forms,
                         enumerate_forms_bruteforce, evaluate, homogeneous_value)
 

@@ -10,6 +10,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from multiprocessing import Pool
 
 import click
@@ -19,7 +20,7 @@ from .arith import is_fundamental_discriminant, is_square
 from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
                         vanishing_verdict)
 from .errors import PreconditionError
-from .oracle import TERM_CAP, estimate_l_value
+from .oracle import TERM_CAP, estimate_l_value, estimate_l_values
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
@@ -192,17 +193,24 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_
                     header += ",oracle_verdict,oracle_value"
                 print(header, file=stream, flush=True)
             with _scan_rows(accepted, parallel) as rows:
-                _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms)
+                # a lazy batch: the series is built on the first row, after the
+                # pool has forked, so the workers neither inherit nor wait for it
+                estimates = (estimate_l_values(level, [d for _, d in accepted], oracle_terms)
+                             if with_oracle else None)
+                _emit_scan(rows, estimates, stream, as_json)
         finally:
             if out:
                 stream.close()
     _guarded(body)
 
 
-def _emit_scan(rows, stream, as_json, with_oracle, level, oracle_terms):
-    for r in rows:
+def _emit_scan(rows, estimates, stream, as_json):
+    """Print the rows in order, with one oracle estimate each unless
+    `estimates` is None.  The estimate is drawn before its row, so the
+    parent builds the coefficient series while the workers compute rows."""
+    with_oracle = estimates is not None
+    for est, r in zip(estimates if with_oracle else repeat(None), rows):
         if with_oracle:
-            est = estimate_l_value(level, r.d, oracle_terms)
             r.oracle_verdict = est.verdict.value
             r.oracle_value = est.value
         line = json.dumps(r.json_obj(with_oracle)) if as_json else r.csv(with_oracle)

@@ -10,11 +10,17 @@ by the rapidly convergent sum
 with C = N*D^2, assuming even functional-equation sign.  The tail is bounded
 rigorously via |a_n| <= 1.75*n, so verdicts are Zero / Nonzero only when the
 truncation cannot change the answer, and Indeterminate otherwise.
+
+`estimate_l_values(level, ds, terms)` builds the series once, for the largest
+truncation any D of the batch needs, and sums a prefix of it per D; a_n does
+not depend on how far the series is built, so every estimate equals the one
+`estimate_l_value(level, d, terms)`, the batch of one, gives.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -122,7 +128,7 @@ class CurveModel:
                 - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
                 - self.a4 * self.a4)
 
-    @property
+    @cached_property
     def disc(self):
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -147,14 +153,11 @@ def _count_all_points(curve: CurveModel, p: int) -> int:
 
 
 def _good_ap(curve: CurveModel, p: int) -> int:
-    """a_p = -sum_x (4x^3 + b2*x^2 + 2*b4*x + b6 | p) for odd good p."""
+    """a_p = p - #{(x, y) in F_p^2 : y^2 = 4x^3 + b2*x^2 + 2*b4*x + b6} for
+    odd good p; bincount(x^2)[v] is the number of square roots of v."""
     x = np.arange(p, dtype=np.int64)
-    f = (4 * (x * x % p) % p * x + curve.b2 % p * (x * x % p)
-         + 2 * curve.b4 % p * x + curve.b6) % p
-    is_sq = np.zeros(p, dtype=bool)
-    is_sq[x * x % p] = True
-    chi = np.where(f == 0, 0, np.where(is_sq[f], 1, -1))
-    return int(-chi.sum())
+    f = (((4 * x + curve.b2) % p * x + 2 * curve.b4) % p * x + curve.b6) % p
+    return p - int(np.bincount(x * x % p, minlength=p)[f].sum())
 
 
 def curve_ap(curve: CurveModel, p: int) -> int:
@@ -317,10 +320,23 @@ def twisted_l_value(level: int, d: int, coeffs: CoefficientSeries,
     return LValueEstimate(d, value, m, tail, verdict, tuple(caveats))
 
 
+def estimate_l_values(level: int, ds, terms: int = 0):
+    """Estimates of L(E_d, 1) for each d of the list ds, in order, each from
+    its first `terms` coefficients (0: default_terms(level, d)).  The first
+    estimate checks the cap and builds the level's series once, for the
+    largest truncation; an empty ds builds nothing."""
+    ms = [terms or default_terms(level, d) for d in ds]
+    if not ms:
+        return
+    top = max(ms)
+    if top > TERM_CAP:
+        raise PreconditionError(f"terms = {top} exceeds the cap {TERM_CAP}")
+    coeffs = newform_coefficients(level, top)
+    for d, m in zip(ds, ms):
+        yield twisted_l_value(level, d, coeffs, terms=m)
+
+
 def estimate_l_value(level: int, d: int, terms: int = 0) -> LValueEstimate:
     """Estimate L(E_d, 1) for the level's packaged newform from its first
-    `terms` coefficients (0: default_terms)."""
-    m = terms or default_terms(level, d)
-    if m > TERM_CAP:
-        raise PreconditionError(f"terms = {m} exceeds the cap {TERM_CAP}")
-    return twisted_l_value(level, d, newform_coefficients(level, m))
+    `terms` coefficients (0: default_terms); the batch of one."""
+    return next(estimate_l_values(level, [d], terms))

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import lcrit
-from lcrit import reference
+from lcrit import oracle, reference
 from lcrit.cli import main
 from lcrit.oracle import TERM_CAP, estimate_l_value
 
@@ -148,6 +148,29 @@ def test_scan_oracle_rows_use_oracle_terms():
                "--oracle-terms", "50")
     assert r.exit_code == 0
     assert json.loads(r.output)["oracle"]["terms"] == 50
+
+
+def test_scan_oracle_builds_once_per_window(monkeypatch):
+    built = []
+    build = oracle.newform_coefficients
+
+    def counted(level, m):
+        built.append((level, m))
+        return build(level, m)
+    monkeypatch.setattr(oracle, "newform_coefficients", counted)
+    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-35", "--good-only",
+               "--oracle", "--parallel", "1")
+    assert r.exit_code == 0
+    assert [line.split(",")[0] for line in r.output.splitlines()[1:]] == ["-11", "-19", "-35"]
+    assert built == [(32, max(oracle.default_terms(32, d) for d in (-11, -19, -35)))]
+    # a window with no accepted D: header only, nothing built
+    built.clear()
+    r = invoke("scan", "--level", "32", "--from", "-1", "--to", "-2", "--good-only",
+               "--oracle", "--parallel", "1")
+    assert r.exit_code == 0, r.output
+    assert r.output.strip() == ("D,f_x1,f_x2,count_x1,count_x2,verdict,"
+                                "oracle_verdict,oracle_value")
+    assert built == []
 
 
 def test_scan_json_roundtrip():
@@ -307,7 +330,7 @@ def test_readme_library_lines_hold():
             continue
         assert str(eval(code, namespace)) == value.strip(), code
         checked += 1
-    assert checked == 6
+    assert checked == 7
 
 
 def run_python(args, cwd, timeout):

@@ -9,7 +9,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lcrit.arith import factorize, is_prime
+from lcrit import oracle
+from lcrit.arith import factorize, is_fundamental_discriminant, is_prime
 from lcrit.criterion import DIMENSION_ONE_LEVELS
 from lcrit.errors import DataError, PreconditionError
 from lcrit.newformdata import NewformSource, load_newform_data, default_sources
@@ -20,9 +21,11 @@ from lcrit.oracle import (
     CoefficientSeries,
     CurveModel,
     OracleVerdict,
+    _bad_ap,
     curve_ap,
     default_terms,
     estimate_l_value,
+    estimate_l_values,
     eta_coefficients,
     extend_multiplicatively,
     newform_coefficients,
@@ -165,6 +168,16 @@ def test_eta_agrees_with_point_counts():
         assert np.array_equal(from_curve.a, from_eta.a), level
 
 
+def test_eta_agrees_with_curve_route_at_scale():
+    # the point-count kernel against the eta expansion on every prime <= 5000
+    for level in ETA_LEVELS:
+        curve = CurveModel.from_source(default_sources()[level])
+        ap = {p: _bad_ap(curve, p) if curve.disc % p == 0 else curve_ap(curve, p)
+              for p in range(2, 5001) if is_prime(p)}
+        from_curve = extend_multiplicatively(ap, level, 5000)
+        assert np.array_equal(from_curve.a, eta_coefficients(level, 5000).a), level
+
+
 def test_series_normalization_enforced():
     with pytest.raises(DataError):
         CoefficientSeries(32, np.array([0, 2, 1], dtype=np.int64))
@@ -227,6 +240,45 @@ def test_twisted_preconditions():
         twisted_l_value(27, -11, coeffs)  # level mismatch
     with pytest.raises(PreconditionError):
         twisted_l_value(32, -11, coeffs, terms=101)
+
+
+def _count_builds(monkeypatch, build=oracle.newform_coefficients):
+    """Record the m of every newform_coefficients call the oracle makes,
+    then pass it on to `build`."""
+    built = []
+
+    def counted(level, m):
+        built.append(m)
+        return build(level, m)
+    monkeypatch.setattr(oracle, "newform_coefficients", counted)
+    return built
+
+
+def test_batch_equals_per_d(monkeypatch):
+    # one series built for the largest truncation and sliced per D gives
+    # exactly the per-D estimates, float value included
+    ds = [-131, -7, -84, -40, -3, -111, -23]  # not in |D| order
+    assert all(is_fundamental_discriminant(d) for d in ds)
+    for level in (17, 19, 21, 49, 11, 32):
+        for terms in (0, 300):
+            single = [estimate_l_value(level, d, terms) for d in ds]
+            built = _count_builds(monkeypatch)
+            batch = list(estimate_l_values(level, ds, terms))
+            monkeypatch.undo()
+            assert batch == single, (level, terms)
+            assert built == [terms or max(default_terms(level, d) for d in ds)], (level, terms)
+
+
+def test_batch_cap_and_empty_batch_build_nothing(monkeypatch):
+    def refuse(level, m):
+        raise AssertionError(f"built {m} coefficients at level {level}")
+    built = _count_builds(monkeypatch, refuse)
+    with pytest.raises(PreconditionError):
+        list(estimate_l_values(17, [-3, -7], TERM_CAP + 1))
+    with pytest.raises(PreconditionError):
+        estimate_l_value(32, -11, TERM_CAP + 1)
+    assert list(estimate_l_values(17, [])) == []
+    assert built == []
 
 
 def test_caveats():

@@ -1,0 +1,49 @@
+"""The benchmark's per-layer trace (bench/layers.py) rebinds module-global
+names of the package; these checks fail when a refactor moves a call away
+from the name the trace wraps."""
+
+import importlib.util
+from pathlib import Path
+
+from lcrit import oracle
+from lcrit.arith import is_prime
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_patched_names_resolve():
+    for module_name, attr, _, _ in _layers().PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            (module_name, attr)
+
+
+def _traced(call):
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.remove()
+    return tracer.stats
+
+
+def test_curve_route_calls_curve_ap_per_good_prime():
+    stats = _traced(lambda: oracle.newform_coefficients(17, 500))
+    good = [p for p in range(2, 501) if is_prime(p) and 17 % p]
+    assert stats["oracle.newform_coefficients"].calls == 1
+    assert stats["oracle.curve_ap"].calls == len(good)
+    assert stats["oracle.extend_multiplicatively"].calls == 1
+
+
+def test_estimate_goes_through_traced_layers():
+    stats = _traced(lambda: oracle.estimate_l_value(32, -11))
+    for name in ("oracle.estimate_l_value", "oracle.newform_coefficients",
+                 "oracle.eta_coefficients", "oracle.twisted_l_value"):
+        assert stats[name].calls == 1, name
