@@ -12,7 +12,7 @@ from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, DerivedVerdict, FEvaluatio
                         cubes_verdict, f_sum, is_good, level_data, parity_test, table_condition,
                         vanishing_verdict)
 from .errors import DataError, PreconditionError
-from .genus import genus_character, genus_character_m3
+from .genus import genus_character
 from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleVerdict, curve_ap,
                      estimate_l_value, estimate_l_values, eta_coefficients,
                      extend_multiplicatively, newform_coefficients, twisted_l_value)

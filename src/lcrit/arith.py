@@ -42,14 +42,7 @@ def kronecker(a: int, n: int) -> int:
 def is_squarefree(n: int) -> bool:
     if n < 1:
         raise ValueError("is_squarefree expects n >= 1")
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    return all(e == 1 for e in factorize(n).values())
 
 
 def is_fundamental_discriminant(d: int) -> bool:

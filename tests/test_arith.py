@@ -129,9 +129,27 @@ def test_is_fundamental_against_definition():
         assert is_fundamental_discriminant(d) == expect, d
 
 
+def _squarefree_by_factors(n):
+    # independent reference: divide out each k from 2 up, failing on a repeat
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
+        k += 1
+    return True
+
+
 def test_is_squarefree_matches_naive():
     for n in range(1, 3000):
         assert is_squarefree(n) == _squarefree_naive(n), n
+    rng = random.Random(20826)
+    cases = [99991 ** 2, 2 * 30011 ** 2, 1013 ** 3, 30011 * 30013]
+    cases += [rng.randint(1, 10 ** 10) for _ in range(300)]
+    for n in cases:
+        assert is_squarefree(n) == _squarefree_by_factors(n), n
+    assert [is_squarefree(n) for n in cases[:4]] == [False, False, False, True]
 
 
 def test_is_prime_worked_values():

@@ -5,7 +5,7 @@ from the name the trace wraps."""
 import importlib.util
 from pathlib import Path
 
-from lcrit import oracle
+from lcrit import criterion, oracle
 from lcrit.arith import is_prime
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -47,3 +47,12 @@ def test_estimate_goes_through_traced_layers():
     for name in ("oracle.estimate_l_value", "oracle.newform_coefficients",
                  "oracle.eta_coefficients", "oracle.twisted_l_value"):
         assert stats[name].calls == 1, name
+
+
+def test_f_sum_checks_d0_once_and_reads_one_character_per_form():
+    stats = _traced(lambda: criterion.f_sum(32, -3, -4219, 0))
+    forms = criterion.f_sum(32, -3, -4219, 0).count
+    assert forms > 0
+    assert stats["genus.genus_character"].calls == forms
+    # once in f_sum, at most once more to split D0; never once per form
+    assert stats["arith.is_fundamental_discriminant"].calls <= 2
