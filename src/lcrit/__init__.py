@@ -4,6 +4,11 @@ dimension-one levels, with an independent truncated-L-series cross-check.
 The criterion compares two finite genus-character-weighted counts of binary
 quadratic forms; equality decides vanishing.  See criterion.vanishing_verdict
 (criterion.compare without its domain gates) and cli for the command line.
+
+The numeric oracle (estimate_l_value, estimate_l_values, CurveModel, ...) is
+imported from lcrit.oracle, not from here: it is the only module that needs
+numpy, so importing lcrit, or running any command without --oracle, does not
+load numpy.
 """
 
 from .arith import divisors, is_fundamental_discriminant, is_prime, kronecker
@@ -13,9 +18,6 @@ from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, DerivedVerdict, FEvaluatio
                         vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character
-from .oracle import (CoefficientSeries, CurveModel, LValueEstimate, OracleVerdict, curve_ap,
-                     estimate_l_value, estimate_l_values, eta_coefficients,
-                     extend_multiplicatively, newform_coefficients, twisted_l_value)
 from .quadforms import (Form, FormSet, as_point, discriminant, enumerate_forms,
                         enumerate_forms_bruteforce, evaluate, homogeneous_value)
 

@@ -20,7 +20,9 @@ from .arith import is_fundamental_discriminant, is_square
 from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
                         vanishing_verdict)
 from .errors import PreconditionError
-from .oracle import TERM_CAP, estimate_l_value, estimate_l_values
+from .newformdata import TERM_CAP
+
+# lcrit.oracle, the one module that loads numpy, is imported only under --oracle
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
@@ -28,6 +30,10 @@ EXIT_MISMATCH = 3
 
 COUNT = click.IntRange(min=0)
 ORACLE_TERMS = click.IntRange(min=0, max=TERM_CAP)
+ORACLE_TERMS_HELP = "series terms for --oracle (0: the default truncation); ignored without it"
+# most rows per pool task: a chunk reaches the parent only when all its rows
+# are done, so a bounded chunk lets the first row print early
+CHUNK_CAP = 16
 
 
 @dataclass
@@ -91,14 +97,17 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--oracle", "with_oracle", is_flag=True,
               help="cross-check with the truncated L-series estimate")
-@click.option("--oracle-terms", type=ORACLE_TERMS, default=0)
+@click.option("--oracle-terms", type=ORACLE_TERMS, default=0, help=ORACLE_TERMS_HELP)
 @click.option("--dump-forms", is_flag=True)
 def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
     """Verdict for one discriminant at one level."""
     def body():
         row = level_data(level)
         v = vanishing_verdict(level, disc)
-        est = estimate_l_value(level, disc, oracle_terms) if with_oracle else None
+        est = None
+        if with_oracle:
+            from .oracle import estimate_l_value
+            est = estimate_l_value(level, disc, oracle_terms)
         if as_json:
             obj = {"level": level, "D": disc, "d0": row.d0,
                    "x1": str(row.x1), "x2": str(row.x2),
@@ -143,12 +152,13 @@ def _scan_row(job):
 def _scan_rows(jobs, parallel, chunk=None):
     """ScanRows for (level, D) jobs in order, from a pool of `parallel` workers
     (0: all cores) when that is more than one; chunk None means about four
-    chunks per worker.  Leaving the block stops the pool."""
+    chunks per worker, at most CHUNK_CAP rows each.  Leaving the block stops
+    the pool."""
     workers = parallel if parallel > 0 else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with Pool(workers) as pool:
-            yield pool.imap(_scan_row, jobs,
-                            chunksize=chunk or max(1, len(jobs) // (4 * workers)))
+            chunk = chunk or min(CHUNK_CAP, max(1, len(jobs) // (4 * workers)))
+            yield pool.imap(_scan_row, jobs, chunksize=chunk)
     else:
         yield map(_scan_row, jobs)
 
@@ -162,7 +172,7 @@ def _scan_rows(jobs, parallel, chunk=None):
 @click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 @click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
 @click.option("--oracle", "with_oracle", is_flag=True)
-@click.option("--oracle-terms", type=ORACLE_TERMS, default=0)
+@click.option("--oracle-terms", type=ORACLE_TERMS, default=0, help=ORACLE_TERMS_HELP)
 @click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_terms, out):
     """Scan discriminants from --from down to --to, one row per valid D."""
@@ -193,10 +203,12 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_
                     header += ",oracle_verdict,oracle_value"
                 print(header, file=stream, flush=True)
             with _scan_rows(accepted, parallel) as rows:
-                # a lazy batch: the series is built on the first row, after the
-                # pool has forked, so the workers neither inherit nor wait for it
-                estimates = (estimate_l_values(level, [d for _, d in accepted], oracle_terms)
-                             if with_oracle else None)
+                # imported and built after the pool has forked, while the
+                # workers compute rows: they neither map numpy nor wait for it
+                estimates = None
+                if with_oracle:
+                    from .oracle import estimate_l_values
+                    estimates = estimate_l_values(level, [d for _, d in accepted], oracle_terms)
                 _emit_scan(rows, estimates, stream, as_json)
         finally:
             if out:
@@ -220,7 +232,8 @@ def _emit_scan(rows, estimates, stream, as_json):
 @main.command()
 @click.argument("name", type=click.Choice(["maincor", "primes", "cubes", "discs"]))
 @click.option("--max-abs-d", type=COUNT, default=0, help="limit rows to |D| <= bound")
-@click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
+@click.option("--parallel", type=COUNT, default=0,
+              help="worker count (default: all cores); ignored by discs, which runs in one process")
 def table(name, max_abs_d, parallel):
     """Recompute a built-in reference table and compare against frozen values."""
     def body():

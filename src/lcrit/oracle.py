@@ -27,9 +27,8 @@ import numpy as np
 
 from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import DataError, PreconditionError
-from .newformdata import NewformSource, default_sources
+from .newformdata import TERM_CAP, NewformSource, default_sources
 
-TERM_CAP = 10 ** 7
 # |value| + tail below T_ZERO decides Zero; |value| - tail above T_NONZERO
 # decides Nonzero; anything between is Indeterminate
 T_ZERO = 1e-3

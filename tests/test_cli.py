@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, CSV/JSON schemas, scan determinism
-across worker counts, oracle columns, reference-table comparison, and the
-options the README names."""
+across worker counts, pool chunk sizes, oracle columns, reference-table
+comparison, numpy loaded only by the oracle, and the options the README
+names."""
 
 import json
+import multiprocessing.pool
 import os
 import re
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import lcrit
-from lcrit import oracle, reference
+from lcrit import cli, newformdata, oracle, reference
 from lcrit.cli import main
 from lcrit.oracle import TERM_CAP, estimate_l_value
 
@@ -133,6 +135,30 @@ def test_scan_deterministic_across_workers():
         assert serial.output == parallel.output, extra
 
 
+def test_scan_chunks_stay_small(monkeypatch):
+    # a pool task returns only when all its rows are done, so a bounded
+    # chunk lets the first row of a long scan print early
+    sizes = []
+    imap = multiprocessing.pool.Pool.imap
+
+    def spy(self, func, iterable, chunksize=1):
+        sizes.append(chunksize)
+        return imap(self, func, iterable, chunksize)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+    window = ("scan", "--level", "32", "--from", "-3", "--to", "-3000", "--good-only")
+    serial = invoke(*window, "--parallel", "1")
+    assert serial.exit_code == 0 and sizes == []
+    rows = len(serial.output.splitlines()) - 1
+    assert rows // (4 * 2) > cli.CHUNK_CAP  # about four chunks per worker would exceed it
+    parallel = invoke(*window, "--parallel", "2")
+    assert parallel.exit_code == 0
+    assert parallel.output == serial.output
+    assert len(sizes) == 1 and 1 <= sizes[0] <= cli.CHUNK_CAP
+    # tables keep one row per task
+    assert invoke("table", "cubes", "--max-abs-d", "3200", "--parallel", "2").exit_code == 0
+    assert sizes[1:] == [1]
+
+
 def test_scan_oracle_rows_use_oracle_terms():
     r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
                "--oracle", "--oracle-terms", "50", "--parallel", "1")
@@ -236,6 +262,11 @@ def test_negative_counts_rejected():
                   "--parallel", "-4").exit_code == 2
     assert invoke("table", "maincor", "--max-abs-d", "-5").exit_code == 2
     assert invoke("table", "maincor", "--max-abs-d", "500", "--parallel", "-4").exit_code == 2
+
+
+def test_term_cap_has_one_home():
+    assert oracle.TERM_CAP is newformdata.TERM_CAP
+    assert cli.ORACLE_TERMS.max is newformdata.TERM_CAP
 
 
 def test_oracle_terms_above_cap_rejected():
@@ -365,3 +396,78 @@ def test_console_script_help(tmp_path):
     commands = {line.split()[0]
                 for line in lines[lines.index("Commands:") + 1:] if line.strip()}
     assert {"scan", "table"} <= commands
+
+
+# Runs in a fresh interpreter and reports on stderr, after each step, whether
+# numpy has been loaded.  `main` runs with standalone_mode=False, so it returns
+# instead of exiting.  Pool workers run `_scan_row` through a spy that fails
+# the row if numpy is mapped in the worker.
+NUMPY_PROBE = """\
+import sys
+
+def report(step):
+    print("numpy-loaded", step, "numpy" in sys.modules, file=sys.stderr, flush=True)
+
+import lcrit
+report("import lcrit")
+import lcrit.cli
+report("import lcrit.cli")
+from lcrit import cli
+
+def worker_row(job):
+    if "numpy" in sys.modules:
+        raise RuntimeError("numpy is loaded in a pool worker")
+    return scan_row(job)
+
+scan_row, cli._scan_row = cli._scan_row, worker_row
+for args in {runs!r}:
+    assert cli.main(args, standalone_mode=False) in (None, 0), args
+    report(" ".join(args))
+"""
+
+
+def _numpy_probe(tmp_path, *runs):
+    """(stdout, {step: numpy loaded after it}) of NUMPY_PROBE over the runs."""
+    proc = run_python(["-c", NUMPY_PROBE.format(runs=[list(r) for r in runs])],
+                      tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = {}
+    for line in proc.stderr.splitlines():
+        if line.startswith("numpy-loaded "):
+            step, _, loaded = line[len("numpy-loaded "):].rpartition(" ")
+            steps[step] = loaded == "True"
+    return proc.stdout, steps
+
+
+def test_startup_and_exact_paths_load_no_numpy(tmp_path):
+    scan = ("scan", "--level", "32", "--from", "-3", "--to", "-300", "--good-only")
+    runs = [("--help",), (*scan, "--parallel", "1"), (*scan, "--parallel", "2"),
+            ("table", "cubes", "--max-abs-d", "3200", "--parallel", "2"),
+            ("check", "--level", "32", "--disc", "-219", "--json", "--dump-forms"),
+            ("check", "--level", "32", "--disc", "-219", "--oracle-terms", "50"),
+            ("congruent", "219"), ("cubes", "7")]
+    out, steps = _numpy_probe(tmp_path, *runs)
+    assert "D,f_x1,f_x2,count_x1,count_x2,verdict" in out
+    assert list(steps) == ["import lcrit", "import lcrit.cli", *(" ".join(r) for r in runs)]
+    assert not any(steps.values()), steps
+
+
+def test_oracle_paths_load_numpy_and_match_the_library(tmp_path):
+    out, steps = _numpy_probe(tmp_path, ("check", "--level", "32", "--disc", "-219",
+                                         "--oracle", "--json"))
+    assert steps.pop("check --level 32 --disc -219 --oracle --json")
+    assert not any(steps.values()), steps
+    est = estimate_l_value(32, -219)
+    assert json.loads(out)["oracle"]["value"] == est.value
+    # the parent imports the oracle after the pool forks: the workers never map numpy
+    scan = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
+            "--oracle", "--parallel", "2")
+    out, steps = _numpy_probe(tmp_path, scan)
+    assert steps.pop(" ".join(scan))
+    assert not any(steps.values()), steps
+    lines = out.splitlines()
+    assert len(lines) > 2
+    for line in lines[1:]:
+        d, *_, oracle_verdict, oracle_value = line.split(",")
+        est = estimate_l_value(32, int(d))
+        assert (oracle_verdict, oracle_value) == (est.verdict.value, f"{est.value:.6g}"), d
