@@ -17,7 +17,7 @@ import click
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
-from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition,
+from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition_filter,
                         vanishing_verdict)
 from .errors import PreconditionError
 from .newformdata import TERM_CAP
@@ -181,17 +181,15 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_
         if from_d >= 0 or to_d >= 0 or from_d < to_d:
             raise PreconditionError(
                 f"need 0 > from >= to (scan descends), got from={from_d} to={to_d}")
-        accepted = []
-        for d in range(from_d, to_d - 1, -1):
-            if not _valid_pair(d, row.d0):
-                continue
-            if good_only:
-                if not (is_fundamental_discriminant(d) and table_condition(level, d)):
-                    continue
-            elif with_oracle and not is_fundamental_discriminant(d):
-                raise PreconditionError(
-                    f"--oracle needs fundamental D; D = {d} is not one (--good-only skips it)")
-            accepted.append((level, d))
+        ds = [d for d in range(from_d, to_d - 1, -1) if _valid_pair(d, row.d0)]
+        if good_only:
+            ds = table_condition_filter(level, ds)
+        elif with_oracle:
+            for d in ds:
+                if not is_fundamental_discriminant(d):
+                    raise PreconditionError(f"--oracle needs fundamental D; D = {d} "
+                                            "is not one (--good-only skips it)")
+        accepted = [(level, d) for d in ds]
         try:
             stream = open(out, "w") if out else sys.stdout
         except OSError as exc:

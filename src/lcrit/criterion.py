@@ -21,9 +21,6 @@ from .errors import PreconditionError
 from .genus import genus_character
 from .quadforms import FormSet, enumerate_forms
 
-DIMENSION_ONE_LEVELS = (11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49)
-
-
 @dataclass(frozen=True)
 class LevelData:
     """Registry row for one dimension-one level.
@@ -92,8 +89,11 @@ LEVELS = {
              (19, 20, 27, 31, 40, 47, 48, 55, 59, 68, 75), (19, 20, 31, 40, 47, 55, 59, 68)),
 }
 
-# each row's printed condition, parsed once; table_condition evaluates it
+DIMENSION_ONE_LEVELS = tuple(LEVELS)
+
+# each row's printed condition, parsed once; _meets_clauses evaluates it
 _CLAUSES = {level: _parse_condition(row.condition) for level, row in LEVELS.items()}
+
 
 def level_data(level: int) -> LevelData:
     try:
@@ -157,18 +157,31 @@ def is_good(level: int, d: int) -> bool:
     return True
 
 
+def _meets_clauses(level: int, m: int) -> bool:
+    """The registry row's condition clauses, evaluated literally on m = |D|."""
+    for k, n, target, equal in _CLAUSES[level]:
+        got = kronecker(k, m) if n is None else m % n
+        if (got == target) != equal:
+            return False
+    return True
+
+
 def table_condition(level: int, d: int) -> bool:
     """The registry row's printed good-discriminant condition, evaluated
     literally on |D|."""
     row = level_data(level)
     if not is_fundamental_discriminant(d) or d >= 0:
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    m = -d
-    for k, n, target, equal in _CLAUSES[row.level]:
-        got = kronecker(k, m) if n is None else m % n
-        if (got == target) != equal:
-            return False
-    return True
+    return _meets_clauses(row.level, -d)
+
+
+def table_condition_filter(level: int, ds) -> list:
+    """The D of ds, in order, that are negative fundamental discriminants
+    meeting the level's table condition.  The clauses come first, so only
+    the D that meet them are factorized, once each."""
+    row = level_data(level)
+    return [d for d in ds
+            if d < 0 and _meets_clauses(row.level, -d) and is_fundamental_discriminant(d)]
 
 
 class Vanishing(Enum):
@@ -206,15 +219,13 @@ def compare(level: int, d: int) -> VanishingVerdict:
 
 
 def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
-    """Decide L(E_D, 1) = 0 by comparing the two registry sums."""
+    """Decide L(E_D, 1) = 0 by comparing the two registry sums.  D must be a
+    negative fundamental discriminant (table_condition checks it) meeting
+    the table condition, with |D*D0| not a square (f_sum checks it)."""
     row = level_data(level)
-    if not is_fundamental_discriminant(d) or d >= 0:
-        raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
     if not table_condition(level, d):
         raise PreconditionError(
             f"level {level} requires {row.condition}; D = {d} violates it")
-    if is_square(d * row.d0):
-        raise PreconditionError(f"|D*D0| = {d * row.d0} is a perfect square")
     note = ""
     if d % 2 == 0:
         note = ("even discriminant: accepted via the level table condition; "

@@ -8,6 +8,7 @@ a list of objects {"level": int, "eta": [[d, e], ...] | null,
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .errors import DataError
@@ -50,6 +51,14 @@ def _validate_entry(entry) -> NewformSource:
                     or not all(type(v) is int for v in pair) or pair[0] < 1 or pair[1] == 0):
                 raise DataError(f"level {level}: bad eta factor {pair!r}")
         eta = tuple((d, e) for d, e in eta)
+        # the expansion starts at q^(sum d*e / 24): an integer >= 1, and every
+        # exponent positive, for a holomorphic cusp form
+        weight_sum = sum(d * e for d, e in eta)
+        if weight_sum % 24:
+            raise DataError(f"level {level}: eta exponents give fractional q-shift "
+                            f"(sum d*e = {weight_sum})")
+        if weight_sum < 24 or any(e < 0 for _, e in eta):
+            raise DataError(f"level {level}: eta quotient is not a holomorphic cusp expansion")
     wm = entry.get("weierstrass")
     if wm is None:
         wm = ()
@@ -82,12 +91,7 @@ def load_newform_data(data_dir=_DEFAULT_DIR) -> dict:
     return sources
 
 
-_default_cache = None
-
-
+@cache
 def default_sources() -> dict:
     """Packaged sources, loaded once."""
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = load_newform_data()
-    return _default_cache
+    return load_newform_data()

@@ -20,7 +20,6 @@ not depend on how far the series is built, so every estimate equals the one
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -63,23 +62,23 @@ def _pentagonal_pairs(limit: int):
     return pairs
 
 
-def eta_coefficients(level: int, m: int) -> CoefficientSeries:
-    """Expand the registered eta quotient for the level through q^m and
-    return a_1..a_m (the leading q^(sum d*e/24) shift is accounted for)."""
+def _check_length(m: int):
+    """A series has 1..TERM_CAP coefficients; checked before any is built."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
     if m > TERM_CAP:
         raise PreconditionError(f"m = {m} exceeds the term cap {TERM_CAP}")
+
+
+def eta_coefficients(level: int, m: int) -> CoefficientSeries:
+    """Expand the registered eta quotient for the level through q^m and
+    return a_1..a_m (the leading q^(sum d*e/24) shift, an integer >= 1 by
+    the loader's checks, is accounted for)."""
+    _check_length(m)
     src = default_sources().get(level)
     if src is None or not src.eta:
         raise PreconditionError(f"no eta-quotient expansion registered for level {level}")
-    weight_sum = sum(d * e for d, e in src.eta)
-    if weight_sum % 24:
-        raise DataError(f"level {level}: eta exponents give fractional q-shift "
-                        f"(sum d*e = {weight_sum})")
-    shift = weight_sum // 24
-    if shift < 1 or any(e < 0 for _, e in src.eta):
-        raise DataError(f"level {level}: eta quotient is not a holomorphic cusp expansion")
+    shift = sum(d * e for d, e in src.eta) // 24
     deg = m - shift
     arr = np.zeros(max(deg, 0) + 1, dtype=np.int64)
     arr[0] = 1
@@ -127,7 +126,7 @@ class CurveModel:
                 - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
                 - self.a4 * self.a4)
 
-    @cached_property
+    @property
     def disc(self):
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -141,7 +140,7 @@ class CurveModel:
 
 def _count_all_points(curve: CurveModel, p: int) -> int:
     """Projective point count over F_p by direct scan, singular points
-    included (used only at the handful of bad primes)."""
+    included (curve_ap uses it at p = 2 only)."""
     count = 1  # point at infinity
     for x in range(p):
         rhs = (x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
@@ -151,30 +150,23 @@ def _count_all_points(curve: CurveModel, p: int) -> int:
     return count
 
 
-def _good_ap(curve: CurveModel, p: int) -> int:
-    """a_p = p - #{(x, y) in F_p^2 : y^2 = 4x^3 + b2*x^2 + 2*b4*x + b6} for
-    odd good p; bincount(x^2)[v] is the number of square roots of v."""
+def curve_ap(curve: CurveModel, p: int) -> int:
+    """The newform's a_p = p + 1 - #E(F_p) at any prime p, good or bad, where
+    #E(F_p) counts the model's projective points, a singular one included.
+    At a bad prime the smooth locus has p - 1, p + 1 or p points for split,
+    nonsplit or additive reduction, and the singular point adds one.
+
+    Odd p: completing the square, (x, y) -> (x, 2y + a1*x + a3), is a
+    bijection from the affine points onto those of Y^2 = 4x^3 + b2*x^2 +
+    2*b4*x + b6 whatever the reduction, and bincount(x^2)[v] is the number
+    of square roots of v.  p = 2 is counted directly."""
+    if p < 2 or not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
+    if p == 2:
+        return p + 1 - _count_all_points(curve, p)
     x = np.arange(p, dtype=np.int64)
     f = (((4 * x + curve.b2) % p * x + 2 * curve.b4) % p * x + curve.b6) % p
     return p - int(np.bincount(x * x % p, minlength=p)[f].sum())
-
-
-def curve_ap(curve: CurveModel, p: int) -> int:
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) at a prime of good reduction."""
-    if p < 2 or not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if curve.disc % p == 0:
-        raise PreconditionError(f"p = {p} divides the model discriminant (bad reduction)")
-    if p == 2:
-        return p + 1 - _count_all_points(curve, p)
-    return _good_ap(curve, p)
-
-
-def _bad_ap(curve: CurveModel, p: int) -> int:
-    # counting the singular fiber's points (singularity included) still gives
-    # p + 1 - a_p: the smooth locus has p - 1, p + 1, or p points for split,
-    # nonsplit, or additive reduction, and the singular point adds one
-    return p + 1 - _count_all_points(curve, p)
 
 
 def _prime_sieve(m: int) -> np.ndarray:
@@ -190,8 +182,7 @@ def extend_multiplicatively(ap_values: dict, level: int, m: int) -> CoefficientS
     """Fill a_1..a_m from prime coefficients: a_{p^(k+1)} = a_p*a_{p^k} -
     p*a_{p^(k-1)} away from the level, a_{p^k} = a_p^k at primes dividing it,
     multiplicative across coprime indices."""
-    if m < 1:
-        raise PreconditionError(f"need m >= 1, got {m}")
+    _check_length(m)
     a = np.zeros(m + 1, dtype=np.int64)
     a[1] = 1
     primes = _prime_sieve(m)
@@ -226,19 +217,15 @@ def extend_multiplicatively(ap_values: dict, level: int, m: int) -> CoefficientS
 
 def newform_coefficients(level: int, m: int) -> CoefficientSeries:
     """a_1..a_m for the level's newform, via eta quotient when registered,
-    else point counts on the Weierstrass model."""
-    if m < 1:
-        raise PreconditionError(f"need m >= 1, got {m}")
+    else curve_ap on the Weierstrass model at every prime <= m."""
+    _check_length(m)
     src = default_sources().get(level)
     if src is None:
         raise PreconditionError(f"no coefficient source registered for level {level}")
     if src.eta:
         return eta_coefficients(level, m)
     curve = CurveModel.from_source(src)
-    ap = {}
-    for p in _prime_sieve(m):
-        p = int(p)
-        ap[p] = _bad_ap(curve, p) if curve.disc % p == 0 else curve_ap(curve, p)
+    ap = {int(p): curve_ap(curve, int(p)) for p in _prime_sieve(m)}
     return extend_multiplicatively(ap, level, m)
 
 
@@ -279,17 +266,14 @@ def _chi_vector(d: int, m: int) -> np.ndarray:
 _COEFF_SLOPE = 1.75
 
 
-def twisted_l_value(level: int, d: int, coeffs: CoefficientSeries,
-                    terms: int = 0) -> LValueEstimate:
-    """Estimate L(E_d, 1) from the first `terms` coefficients (0: all of
-    them) with a rigorous truncation bound; decide Zero / Nonzero only
-    outside the uncertainty band [T_ZERO, T_NONZERO].
+def twisted_l_value(d: int, coeffs: CoefficientSeries, terms: int = 0) -> LValueEstimate:
+    """Estimate L(E_d, 1) for the series' newform from its first `terms`
+    coefficients (0: all of them) with a rigorous truncation bound; decide
+    Zero / Nonzero only outside the uncertainty band [T_ZERO, T_NONZERO].
     """
     if not is_fundamental_discriminant(d) or d >= 0:
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    if coeffs.level != level:
-        raise PreconditionError(
-            f"coefficient series is for level {coeffs.level}, not {level}")
+    level = coeffs.level
     m = terms or len(coeffs)
     if m < 1:
         raise PreconditionError(f"need at least one term, got {m}")
@@ -332,7 +316,7 @@ def estimate_l_values(level: int, ds, terms: int = 0):
         raise PreconditionError(f"terms = {top} exceeds the cap {TERM_CAP}")
     coeffs = newform_coefficients(level, top)
     for d, m in zip(ds, ms):
-        yield twisted_l_value(level, d, coeffs, terms=m)
+        yield twisted_l_value(d, coeffs, terms=m)
 
 
 def estimate_l_value(level: int, d: int, terms: int = 0) -> LValueEstimate:

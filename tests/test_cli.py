@@ -17,7 +17,9 @@ from click.testing import CliRunner
 
 import lcrit
 from lcrit import cli, newformdata, oracle, reference
+from lcrit.arith import is_fundamental_discriminant
 from lcrit.cli import main
+from lcrit.criterion import LEVELS, table_condition
 from lcrit.oracle import TERM_CAP, estimate_l_value
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +126,23 @@ def test_scan_empty_range_header_only():
                "--good-only", "--parallel", "1")
     assert r.exit_code == 0
     assert r.output.strip() == "D,f_x1,f_x2,count_x1,count_x2,verdict"
+
+
+def test_scan_good_only_equals_literal_filter():
+    # the prefilter tests the level's clauses before it factorizes D; it
+    # must keep exactly the D the literal filter keeps, in scan order
+    for level, row in LEVELS.items():
+        kept = 0
+        for start in (-3, -100003):
+            window = range(start, start - 150, -1)
+            expected = [d for d in window if cli._valid_pair(d, row.d0)
+                        and is_fundamental_discriminant(d) and table_condition(level, d)]
+            r = invoke("scan", "--level", str(level), "--from", str(start),
+                       "--to", str(window[-1]), "--good-only", "--parallel", "1")
+            assert r.exit_code == 0, (level, start)
+            assert list(_csv_rows(r.output)) == expected, (level, start)
+            kept += len(expected)
+        assert kept, level
 
 
 def test_scan_deterministic_across_workers():

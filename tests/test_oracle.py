@@ -21,7 +21,6 @@ from lcrit.oracle import (
     CoefficientSeries,
     CurveModel,
     OracleVerdict,
-    _bad_ap,
     curve_ap,
     default_terms,
     estimate_l_value,
@@ -73,10 +72,15 @@ def test_eta_errors():
         eta_coefficients(32, TERM_CAP + 1)
 
 
-def test_newform_coefficients_need_a_term():
-    # rejected before either route runs: eta (32) and point counts (17)
+def test_newform_coefficients_need_a_term(monkeypatch):
+    # rejected before either route runs: no a_p or eta term is computed at
+    # 17 (point counts) or 32 (eta quotient)
+    def refuse(*args):
+        raise AssertionError(f"computed {args}")
+    monkeypatch.setattr(oracle, "curve_ap", refuse)
+    monkeypatch.setattr(oracle, "eta_coefficients", refuse)
     for level in (32, 17):
-        for m in (0, -5):
+        for m in (0, -5, TERM_CAP + 1):
             with pytest.raises(PreconditionError):
                 newform_coefficients(level, m)
 
@@ -85,8 +89,7 @@ def test_curve_ap_worked_values():
     curve = CurveModel(0, 0, 0, -1, 0)  # y^2 = x^3 - x
     assert curve_ap(curve, 5) == -2
     assert curve_ap(curve, 3) == 0
-    with pytest.raises(PreconditionError):
-        curve_ap(curve, 2)  # 2 divides the discriminant
+    assert curve_ap(curve, 2) == 0  # bad prime: a_2 of 32a, as the eta route gives
     with pytest.raises(PreconditionError):
         curve_ap(curve, 9)  # not prime
 
@@ -106,16 +109,16 @@ def test_curve_ap_against_brute_count():
     rng = random.Random(50900)
     for level in DIMENSION_ONE_LEVELS:
         curve = CurveModel.from_source(default_sources()[level])
-        for p in (3, 5, 7, 11, 13, 37, 101):
-            if curve.disc % p == 0:
-                continue
+        bad = tuple(factorize(abs(curve.disc)))
+        assert bad, level
+        # good and bad primes alike: curve_ap has one rule for every prime
+        for p in (3, 5, 7, 11, 13, 37, 101) + bad:
             assert curve_ap(curve, p) == p + 1 - _brute_count(curve, p), (level, p)
     # and on a few random odd primes for the vectorized path
     curve = CurveModel(1, -1, 1, -1, -14)
     for _ in range(5):
         p = rng.choice((149, 211, 307, 401, 503))
-        if curve.disc % p:
-            assert curve_ap(curve, p) == p + 1 - _brute_count(curve, p)
+        assert curve_ap(curve, p) == p + 1 - _brute_count(curve, p)
 
 
 def test_extend_worked_values():
@@ -172,8 +175,7 @@ def test_eta_agrees_with_curve_route_at_scale():
     # the point-count kernel against the eta expansion on every prime <= 5000
     for level in ETA_LEVELS:
         curve = CurveModel.from_source(default_sources()[level])
-        ap = {p: _bad_ap(curve, p) if curve.disc % p == 0 else curve_ap(curve, p)
-              for p in range(2, 5001) if is_prime(p)}
+        ap = {p: curve_ap(curve, p) for p in range(2, 5001) if is_prime(p)}
         from_curve = extend_multiplicatively(ap, level, 5000)
         assert np.array_equal(from_curve.a, eta_coefficients(level, 5000).a), level
 
@@ -199,7 +201,7 @@ def test_default_terms():
 def test_verdict_band_definition():
     coeffs = newform_coefficients(32, default_terms(32, -571))
     for d in (-11, -19, -35, -219, -571):
-        est = twisted_l_value(32, d, coeffs)
+        est = twisted_l_value(d, coeffs)
         if est.verdict is OracleVerdict.ZERO:
             assert abs(est.value) + est.tail_bound < T_ZERO
         elif est.verdict is OracleVerdict.NONZERO:
@@ -211,7 +213,7 @@ def test_verdict_band_definition():
 
 def test_short_truncation_is_indeterminate():
     coeffs = newform_coefficients(32, 2000)
-    est = twisted_l_value(32, -571, coeffs, terms=5)
+    est = twisted_l_value(-571, coeffs, terms=5)
     assert est.verdict is OracleVerdict.INDETERMINATE
     assert est.terms_used == 5
 
@@ -223,7 +225,7 @@ def test_monotone_refinement():
         coeffs = newform_coefficients(level, 2 * full)
         decided = []
         for m in (full // 4, full // 2, full, 2 * full):
-            est = twisted_l_value(level, d, coeffs, terms=m)
+            est = twisted_l_value(d, coeffs, terms=m)
             if est.verdict is not OracleVerdict.INDETERMINATE:
                 decided.append(est.verdict)
         assert decided, (level, d)
@@ -233,13 +235,11 @@ def test_monotone_refinement():
 def test_twisted_preconditions():
     coeffs = newform_coefficients(32, 100)
     with pytest.raises(PreconditionError):
-        twisted_l_value(32, -9, coeffs)  # not fundamental
+        twisted_l_value(-9, coeffs)  # not fundamental
     with pytest.raises(PreconditionError):
-        twisted_l_value(32, 11, coeffs)  # positive
+        twisted_l_value(11, coeffs)  # positive
     with pytest.raises(PreconditionError):
-        twisted_l_value(27, -11, coeffs)  # level mismatch
-    with pytest.raises(PreconditionError):
-        twisted_l_value(32, -11, coeffs, terms=101)
+        twisted_l_value(-11, coeffs, terms=101)
 
 
 def _count_builds(monkeypatch, build=oracle.newform_coefficients):
@@ -310,9 +310,11 @@ def test_data_loader_rejects_malformed(tmp_path):
         [{"level": 0, "eta": [[4, 2]], "weierstrass": None}],  # bad level
         [{"level": 32, "eta": [[4]], "weierstrass": None}],    # bad eta pair
         [{"level": 32, "eta": None, "weierstrass": [1, 2]}],   # short model
-        [{"level": 32, "eta": [[4, 2]], "weierstrass": None, "extra": 1}],
-        [{"level": 32, "eta": [[4, 2]], "weierstrass": None},
-         {"level": 32, "eta": [[4, 2]], "weierstrass": None}],  # duplicate
+        [{"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None, "extra": 1}],
+        [{"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None},
+         {"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None}],  # duplicate
+        [{"level": 32, "eta": [[4, 2]], "weierstrass": None}],  # q-shift 8/24
+        [{"level": 32, "eta": [[1, 26], [2, -1]], "weierstrass": None}],  # eta(2z)^-1
         # JSON booleans are not integers
         [{"level": True, "eta": [[4, 2], [8, 2]], "weierstrass": None}],
         [{"level": 32, "eta": [[True, 24]], "weierstrass": None}],
