@@ -12,13 +12,12 @@ load numpy.
 """
 
 from .arith import divisors, is_fundamental_discriminant, is_prime, kronecker
-from .criterion import (DIMENSION_ONE_LEVELS, LEVELS, DerivedVerdict, FEvaluation, LevelData,
-                        ParityResult, Vanishing, VanishingVerdict, compare, congruent_verdict,
-                        cubes_verdict, f_sum, is_good, level_data, parity_test, table_condition,
-                        vanishing_verdict)
+from .criterion import (LEVELS, DerivedVerdict, FEvaluation, LevelData, ParityResult, Vanishing,
+                        VanishingVerdict, compare, congruent_verdict, cubes_verdict, f_sum,
+                        is_good, level_data, parity_test, table_condition, vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character
-from .quadforms import (Form, FormSet, as_point, discriminant, enumerate_forms,
-                        enumerate_forms_bruteforce, evaluate, homogeneous_value)
+from .quadforms import (Form, as_point, discriminant, enumerate_forms, enumerate_forms_bruteforce,
+                        homogeneous_value)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,8 +76,6 @@ def _guarded(body):
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
 

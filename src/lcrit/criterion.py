@@ -19,7 +19,7 @@ from math import gcd
 from .arith import factorize, is_fundamental_discriminant, is_prime, is_square, kronecker
 from .errors import PreconditionError
 from .genus import genus_character
-from .quadforms import FormSet, enumerate_forms
+from .quadforms import enumerate_forms
 
 @dataclass(frozen=True)
 class LevelData:
@@ -89,8 +89,6 @@ LEVELS = {
              (19, 20, 27, 31, 40, 47, 48, 55, 59, 68, 75), (19, 20, 31, 40, 47, 55, 59, 68)),
 }
 
-DIMENSION_ONE_LEVELS = tuple(LEVELS)
-
 # each row's printed condition, parsed once; _meets_clauses evaluates it
 _CLAUSES = {level: _parse_condition(row.condition) for level, row in LEVELS.items()}
 
@@ -100,18 +98,17 @@ def level_data(level: int) -> LevelData:
         return LEVELS[level]
     except KeyError:
         raise PreconditionError(
-            f"level {level} is not a dimension-one level {DIMENSION_ONE_LEVELS}")
+            f"level {level} is not a dimension-one level {tuple(LEVELS)}")
 
 
 @dataclass(frozen=True)
 class FEvaluation:
-    """One exact sum F(x): integer value and the size of the underlying set."""
+    """One exact sum F(x): integer value, the size of the underlying set,
+    and its forms, sorted."""
 
-    d: int
-    x: Fraction
     value: int
     count: int
-    forms: FormSet
+    forms: tuple
 
 
 def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
@@ -128,7 +125,7 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
         raise PreconditionError(f"|D*D0| = {delta} is a perfect square")
     forms = enumerate_forms(level, delta, x)
     value = sum(genus_character(d0, q) for q in forms)
-    return FEvaluation(d=d, x=forms.x, value=value, count=len(forms), forms=forms)
+    return FEvaluation(value, len(forms), forms)
 
 
 def is_good(level: int, d: int) -> bool:

@@ -253,12 +253,10 @@ def default_terms(level: int, d: int) -> int:
 
 
 def _chi_vector(d: int, m: int) -> np.ndarray:
-    """kronecker(d, n) for n = 1..m; built from one period when that is
-    cheaper (chi_d has period |d| for fundamental d)."""
-    if abs(d) <= m:
-        period = np.array([kronecker(d, r) for r in range(abs(d))], dtype=np.int64)
-        return period[np.arange(1, m + 1) % abs(d)]
-    return np.array([kronecker(d, n) for n in range(1, m + 1)], dtype=np.int64)
+    """kronecker(d, n) for n = 1..m, read off one period (chi_d has period
+    |d| for fundamental d), of which only residues up to m are computed."""
+    period = np.array([kronecker(d, r) for r in range(min(abs(d), m + 1))], dtype=np.int64)
+    return period[np.arange(1, m + 1) % abs(d)]
 
 
 # sup over n >= 1 of sigma_0(n)/sqrt(n) is attained at n = 12 (6/sqrt(12) ~ 1.733),
@@ -306,15 +304,13 @@ def twisted_l_value(d: int, coeffs: CoefficientSeries, terms: int = 0) -> LValue
 def estimate_l_values(level: int, ds, terms: int = 0):
     """Estimates of L(E_d, 1) for each d of the list ds, in order, each from
     its first `terms` coefficients (0: default_terms(level, d)).  The first
-    estimate checks the cap and builds the level's series once, for the
-    largest truncation; an empty ds builds nothing."""
+    estimate builds the level's series once, for the largest truncation
+    (newform_coefficients checks it against the cap); an empty ds builds
+    nothing."""
     ms = [terms or default_terms(level, d) for d in ds]
     if not ms:
         return
-    top = max(ms)
-    if top > TERM_CAP:
-        raise PreconditionError(f"terms = {top} exceeds the cap {TERM_CAP}")
-    coeffs = newform_coefficients(level, top)
+    coeffs = newform_coefficients(level, max(ms))
     for d, m in zip(ds, ms):
         yield twisted_l_value(d, coeffs, terms=m)
 

@@ -14,7 +14,6 @@ bounded positive integer, so both factors range over divisor pairs.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,36 +43,10 @@ def discriminant(form: Form) -> int:
     return b * b - 4 * a * c
 
 
-def evaluate(form: Form, x) -> Fraction:
-    """Exact value a*x^2 + b*x + c at a rational point."""
-    x = as_point(x)
-    a, b, c = form
-    return a * x * x + b * x + c
-
-
 def homogeneous_value(form: Form, p: int, q: int) -> int:
     """Integer value of the homogenized form at (p, q)."""
     a, b, c = form
     return a * p * p + b * p * q + c * q * q
-
-
-@dataclass(frozen=True)
-class FormSet:
-    """The finite solution set for one (level, Delta, point) triple.
-
-    forms is sorted ascending by (a, b, c), so equal sets compare equal.
-    """
-
-    level: int
-    delta: int
-    x: Fraction
-    forms: tuple
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __iter__(self):
-        return iter(self.forms)
 
 
 def _check_args(level: int, delta: int, x) -> Fraction:
@@ -86,9 +59,10 @@ def _check_args(level: int, delta: int, x) -> Fraction:
     return as_point(x)
 
 
-def enumerate_forms(level: int, delta: int, x) -> FormSet:
+def enumerate_forms(level: int, delta: int, x) -> tuple:
     """All forms [a, b, c] of discriminant delta with level | a, a < 0 and
-    Q(p, q) > 0, via the divisor-pair identity above.
+    Q(p, q) > 0, via the divisor-pair identity above, as a tuple sorted
+    ascending by (a, b, c), so equal sets compare equal.
 
     For each admissible t = b*q + 2*a*p the quantity
     n = (delta*q^2 - t^2) / 4 factors as (-a) * Q(p, q), and level | a forces
@@ -120,10 +94,10 @@ def enumerate_forms(level: int, delta: int, x) -> FormSet:
                 continue
             found.append(Form(a, b, cnum // (4 * a)))
     found.sort()
-    return FormSet(level, delta, x, tuple(found))
+    return tuple(found)
 
 
-def enumerate_forms_bruteforce(level: int, delta: int, x, slack: int = 1) -> FormSet:
+def enumerate_forms_bruteforce(level: int, delta: int, x, slack: int = 1) -> tuple:
     """Reference enumeration by direct scan over a covering coefficient box.
 
     The box |a| <= slack*delta*q^2, |b*q + 2*a*p| <= slack*q*isqrt(delta) + q
@@ -152,4 +126,4 @@ def enumerate_forms_bruteforce(level: int, delta: int, x, slack: int = 1) -> For
             if a * p * p + b * p * q + c * q * q > 0:
                 found.append(Form(a, b, c))
     found.sort()
-    return FormSet(level, delta, x, tuple(found))
+    return tuple(found)

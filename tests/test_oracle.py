@@ -11,7 +11,7 @@ import pytest
 
 from lcrit import oracle
 from lcrit.arith import factorize, is_fundamental_discriminant, is_prime
-from lcrit.criterion import DIMENSION_ONE_LEVELS
+from lcrit.criterion import LEVELS
 from lcrit.errors import DataError, PreconditionError
 from lcrit.newformdata import NewformSource, load_newform_data, default_sources
 from lcrit.oracle import (
@@ -37,7 +37,7 @@ CURVE_ONLY_LEVELS = (17, 19, 21, 49)
 
 def test_registered_sources_cover_all_levels():
     sources = default_sources()
-    assert set(sources) == set(DIMENSION_ONE_LEVELS)
+    assert set(sources) == set(LEVELS)
     for level in ETA_LEVELS:
         assert sources[level].eta
         assert sum(d * e for d, e in sources[level].eta) == 24
@@ -47,7 +47,7 @@ def test_registered_sources_cover_all_levels():
 
 def test_registered_models_have_level_support():
     # the model's discriminant must be divisible by exactly the primes of N
-    for level in DIMENSION_ONE_LEVELS:
+    for level in LEVELS:
         src = default_sources()[level]
         assert src.weierstrass, level
         disc = CurveModel.from_source(src).disc
@@ -107,7 +107,7 @@ def _brute_count(curve, p):
 
 def test_curve_ap_against_brute_count():
     rng = random.Random(50900)
-    for level in DIMENSION_ONE_LEVELS:
+    for level in LEVELS:
         curve = CurveModel.from_source(default_sources()[level])
         bad = tuple(factorize(abs(curve.disc)))
         assert bad, level
@@ -150,7 +150,7 @@ def test_hecke_recursion_and_multiplicativity():
 
 
 def test_hasse_bound():
-    for level in DIMENSION_ONE_LEVELS:
+    for level in LEVELS:
         series = newform_coefficients(level, 10 ** 4)
         for p in range(2, 10 ** 4 + 1):
             if is_prime(p) and level % p:
@@ -270,13 +270,16 @@ def test_batch_equals_per_d(monkeypatch):
 
 
 def test_batch_cap_and_empty_batch_build_nothing(monkeypatch):
-    def refuse(level, m):
-        raise AssertionError(f"built {m} coefficients at level {level}")
-    built = _count_builds(monkeypatch, refuse)
-    with pytest.raises(PreconditionError):
+    # an over-cap batch is rejected before any a_p or eta term is computed
+    def refuse(*args):
+        raise AssertionError(f"computed {args}")
+    monkeypatch.setattr(oracle, "curve_ap", refuse)
+    monkeypatch.setattr(oracle, "eta_coefficients", refuse)
+    with pytest.raises(PreconditionError, match="exceeds the term cap"):
         list(estimate_l_values(17, [-3, -7], TERM_CAP + 1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="exceeds the term cap"):
         estimate_l_value(32, -11, TERM_CAP + 1)
+    built = _count_builds(monkeypatch, refuse)
     assert list(estimate_l_values(17, [])) == []
     assert built == []
 
