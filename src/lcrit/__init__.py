@@ -17,7 +17,6 @@ from .criterion import (LEVELS, DerivedVerdict, FEvaluation, LevelData, ParityRe
                         is_good, level_data, parity_test, table_condition, vanishing_verdict)
 from .errors import DataError, PreconditionError
 from .genus import genus_character
-from .quadforms import (Form, as_point, discriminant, enumerate_forms, enumerate_forms_bruteforce,
-                        homogeneous_value)
+from .quadforms import Form, as_point, discriminant, enumerate_forms
 
 __all__ = [name for name in dir() if not name.startswith("_")]

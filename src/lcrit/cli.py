@@ -17,8 +17,8 @@ import click
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
-from .criterion import (LEVELS, Vanishing, compare, level_data, table_condition_filter,
-                        vanishing_verdict)
+from .criterion import (LEVELS, Vanishing, compare, enumerate_forms, level_data,
+                        table_condition_filter, vanishing_verdict)
 from .errors import PreconditionError
 from .newformdata import TERM_CAP
 
@@ -102,6 +102,8 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
     def body():
         row = level_data(level)
         v = vanishing_verdict(level, disc)
+        forms = [[list(q) for q in enumerate_forms(level, disc * row.d0, x)]
+                 for x in (row.x1, row.x2)] if dump_forms else None
         est = None
         if with_oracle:
             from .oracle import estimate_l_value
@@ -115,8 +117,7 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
             if v.note:
                 obj["note"] = v.note
             if dump_forms:
-                obj["forms_x1"] = [list(q) for q in v.x1_eval.forms]
-                obj["forms_x2"] = [list(q) for q in v.x2_eval.forms]
+                obj["forms_x1"], obj["forms_x2"] = forms
             if est is not None:
                 obj["oracle"] = {"verdict": est.verdict.value, "value": est.value,
                                  "terms": est.terms_used, "tail_bound": est.tail_bound,
@@ -131,8 +132,8 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
         if v.note:
             click.echo(f"note: {v.note}")
         if dump_forms:
-            click.echo(f"forms at {row.x1}: {[list(q) for q in v.x1_eval.forms]}")
-            click.echo(f"forms at {row.x2}: {[list(q) for q in v.x2_eval.forms]}")
+            click.echo(f"forms at {row.x1}: {forms[0]}")
+            click.echo(f"forms at {row.x2}: {forms[1]}")
         if est is not None:
             click.echo(f"oracle: {est.verdict.value}  value = {est.value:.6g}  "
                        f"tail <= {est.tail_bound:.2e}  ({est.terms_used} terms)")

@@ -19,7 +19,9 @@ from math import gcd
 from .arith import factorize, is_fundamental_discriminant, is_prime, is_square, kronecker
 from .errors import PreconditionError
 from .genus import genus_character
-from .quadforms import enumerate_forms
+# f_sum streams iter_forms; enumerate_forms, the same forms sorted, is what
+# `check --dump-forms` lists
+from .quadforms import enumerate_forms, iter_forms
 
 @dataclass(frozen=True)
 class LevelData:
@@ -103,12 +105,10 @@ def level_data(level: int) -> LevelData:
 
 @dataclass(frozen=True)
 class FEvaluation:
-    """One exact sum F(x): integer value, the size of the underlying set,
-    and its forms, sorted."""
+    """One exact sum F(x): integer value and the size of the underlying set."""
 
     value: int
     count: int
-    forms: tuple
 
 
 def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
@@ -123,9 +123,11 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
     delta = d * d0
     if is_square(delta):
         raise PreconditionError(f"|D*D0| = {delta} is a perfect square")
-    forms = enumerate_forms(level, delta, x)
-    value = sum(genus_character(d0, q) for q in forms)
-    return FEvaluation(value, len(forms), forms)
+    value = count = 0
+    for form in iter_forms(level, delta, x):
+        value += genus_character(d0, form)
+        count += 1
+    return FEvaluation(value, count)
 
 
 def is_good(level: int, d: int) -> bool:

@@ -24,13 +24,18 @@ from .quadforms import Form, discriminant
 
 @lru_cache
 def _prime_discriminants(d0: int) -> tuple:
-    """((p, p*), ...) over the primes p dividing the fundamental discriminant
-    D0, with D0 the product of the p*."""
+    """((p, |p*|, table), ...) over the primes p dividing the fundamental
+    discriminant D0, with D0 the product of the p*.  table[r] is (p* | r) for
+    r in range(|p*|); as p* is a fundamental discriminant, (p* | a) is a
+    character mod |p*| on all integers a, negatives included, so
+    (p* | a) = table[a % |p*|]."""
     if not is_fundamental_discriminant(d0):
         raise PreconditionError(f"D0 must be a fundamental discriminant, got {d0}")
     odd = tuple((p, p if p % 4 == 1 else -p) for p in factorize(abs(d0)) if p != 2)
     two = d0 // prod(star for _, star in odd)
-    return odd if two == 1 else ((2, two),) + odd
+    pairs = odd if two == 1 else ((2, two),) + odd
+    return tuple((p, abs(star), tuple(kronecker(star, r) for r in range(abs(star))))
+                 for p, star in pairs)
 
 
 def genus_character(d0: int, form: Form) -> int:
@@ -44,6 +49,6 @@ def genus_character(d0: int, form: Form) -> int:
     if (disc // d0) % 4 not in (0, 1):
         raise PreconditionError(f"disc/D0 = {disc // d0} is not a discriminant")
     value = 1
-    for p, star in factors:
-        value *= kronecker(star, a if a % p else c)
+    for p, modulus, table in factors:
+        value *= table[(a if a % p else c) % modulus]
     return value

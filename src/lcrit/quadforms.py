@@ -31,22 +31,17 @@ def as_point(x) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to a normalized rational point."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise PreconditionError(f"cannot interpret {x!r} as a rational point")
 
 
 def discriminant(form: Form) -> int:
     a, b, c = form
     return b * b - 4 * a * c
-
-
-def homogeneous_value(form: Form, p: int, q: int) -> int:
-    """Integer value of the homogenized form at (p, q)."""
-    a, b, c = form
-    return a * p * p + b * p * q + c * q * q
 
 
 def _check_args(level: int, delta: int, x) -> Fraction:
@@ -59,71 +54,47 @@ def _check_args(level: int, delta: int, x) -> Fraction:
     return as_point(x)
 
 
-def enumerate_forms(level: int, delta: int, x) -> tuple:
-    """All forms [a, b, c] of discriminant delta with level | a, a < 0 and
-    Q(p, q) > 0, via the divisor-pair identity above, as a tuple sorted
-    ascending by (a, b, c), so equal sets compare equal.
+def iter_forms(level: int, delta: int, x):
+    """Yield each form [a, b, c] of discriminant delta with level | a, a < 0
+    and Q(p, q) > 0 once, as a plain (a, b, c) tuple, in no particular order.
 
     For each admissible t = b*q + 2*a*p the quantity
     n = (delta*q^2 - t^2) / 4 factors as (-a) * Q(p, q), and level | a forces
-    level | n; every -a is then level*d for a divisor d of n/level, and b, c
-    are determined by t and the discriminant.  Once c is integral the
-    identity gives Q(p, q) = n / (-a) > 0, so no value test follows.
+    4*level | delta*q^2 - t^2; every -a is then level*d for a divisor d of
+    n/level, and b, c are determined by t and the discriminant.  Once c is
+    integral the identity gives Q(p, q) = n / (-a) > 0, so no value test
+    follows.  Since t mod 2*level fixes t^2 mod 4*level, only the residue
+    classes r mod 2*level with r^2 = delta*q^2 (mod 4*level) are visited, and
+    t and -t share n, so one divisor list serves both.
     """
     x = _check_args(level, delta, x)
     p, q = x.numerator, x.denominator
     cap = delta * q * q
     tmax = math.isqrt(cap - 1)
-    found = []
-    for t in range(-tmax, tmax + 1):
-        rem = cap - t * t
-        if rem % 4:
+    period = 2 * level
+    modulus = 2 * period
+    target = cap % modulus
+    for r in range(period):
+        if r * r % modulus != target:
             continue
-        n = rem // 4
-        if n % level:
-            continue
-        for d in divisors(n // level):
-            big_a = level * d
-            num = t + 2 * big_a * p
-            if num % q:
-                continue
-            b = num // q
-            a = -big_a
-            cnum = b * b - delta
-            if cnum % (4 * a):
-                continue
-            found.append(Form(a, b, cnum // (4 * a)))
-    found.sort()
-    return tuple(found)
+        for t in range(r, tmax + 1, period):
+            signed = (t, -t) if t else (t,)
+            for d in divisors((cap - t * t) // modulus):
+                big_a = level * d
+                shift = 2 * big_a * p
+                four_a = -4 * big_a
+                for s in signed:
+                    num = s + shift
+                    if num % q:
+                        continue
+                    b = num // q
+                    cnum = b * b - delta
+                    if cnum % four_a:
+                        continue
+                    yield -big_a, b, cnum // four_a
 
 
-def enumerate_forms_bruteforce(level: int, delta: int, x, slack: int = 1) -> tuple:
-    """Reference enumeration by direct scan over a covering coefficient box.
-
-    The box |a| <= slack*delta*q^2, |b*q + 2*a*p| <= slack*q*isqrt(delta) + q
-    strictly contains the region the identity allows (slack = 1 already
-    suffices; larger slack widens the box to test that claim).  Intended only
-    for cross-checking enumerate_forms.
-    """
-    if slack < 1:
-        raise PreconditionError(f"slack must be >= 1, got {slack}")
-    x = _check_args(level, delta, x)
-    p, q = x.numerator, x.denominator
-    acap = slack * delta * q * q
-    tcap = slack * q * math.isqrt(delta) + q
-    found = []
-    for big_a in range(level, acap + 1, level):
-        a = -big_a
-        shift = 2 * a * p
-        blo = -((tcap + shift) // q)
-        bhi = (tcap - shift) // q
-        four_a = 4 * a
-        for b in range(blo, bhi + 1):
-            cnum = b * b - delta
-            if cnum % four_a:
-                continue
-            c = cnum // four_a
-            if a * p * p + b * p * q + c * q * q > 0:
-                found.append(Form(a, b, c))
-    found.sort()
-    return tuple(found)
+def enumerate_forms(level: int, delta: int, x) -> tuple:
+    """All forms of iter_forms(level, delta, x) as a tuple of Form sorted
+    ascending by (a, b, c), so equal sets compare equal."""
+    return tuple(sorted(map(Form._make, iter_forms(level, delta, x))))

@@ -39,15 +39,10 @@ from lcrit.oracle import (
     extend_multiplicatively,
 )
 from lcrit.newformdata import default_sources
-from lcrit.quadforms import (
-    Form,
-    discriminant,
-    enumerate_forms,
-    enumerate_forms_bruteforce,
-    homogeneous_value,
-)
+from lcrit.quadforms import Form, discriminant, enumerate_forms
 from lcrit.reference import CUBES_ROWS, MAINCOR_ROWS, PRIMES_ROWS
 from test_genus import _box_character
+from test_quadforms import enumerate_forms_bruteforce, homogeneous_value
 
 
 def _criterion(num, description, budget, body):

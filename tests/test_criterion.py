@@ -1,6 +1,7 @@
 """Level registry, exact F sums, goodness predicates, and the derived
 verdicts (vanishing, congruent numbers, parity, sums of two cubes)."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -23,7 +24,9 @@ from lcrit.criterion import (
     vanishing_verdict,
 )
 from lcrit.errors import PreconditionError
-from lcrit.quadforms import enumerate_forms_bruteforce
+from lcrit.genus import genus_character
+from lcrit.quadforms import enumerate_forms
+from test_quadforms import enumerate_forms_bruteforce
 
 # one registry row per dimension-one level: (D0, x1, x2, brief list of
 # non-invariant m, underlined subset)
@@ -133,7 +136,7 @@ def test_empty_sum_is_zero():
     ev = f_sum(32, -3, -11, 0)
     assert ev.count == 0
     assert ev.value == 0
-    assert len(ev.forms) == 0
+    assert len(enumerate_forms(32, 33, 0)) == 0
 
 
 def test_fevaluation_invariants():
@@ -144,7 +147,24 @@ def test_fevaluation_invariants():
             for x in (x1, x2):
                 ev = f_sum(level, d0, -m, x)
                 assert abs(ev.value) <= ev.count
-                assert ev.count == len(ev.forms)
+                assert ev.count == len(enumerate_forms(level, -m * d0, x))
+
+
+def test_f_sum_matches_the_sorted_enumeration():
+    # f_sum streams the forms; the sorted enumeration is the reference
+    # (240 rows: 10 D per level and registry point)
+    rng = random.Random(31105)
+    for level, row in sorted(LEVELS.items()):
+        for x in (row.x1, row.x2):
+            for _ in range(10):
+                while True:
+                    d = -rng.randint(3, 20000)
+                    if d % 4 in (0, 1) and not is_square(d * row.d0):
+                        break
+                forms = enumerate_forms(level, d * row.d0, x)
+                ev = f_sum(level, row.d0, d, x)
+                assert (ev.value, ev.count) == \
+                    (sum(genus_character(row.d0, q) for q in forms), len(forms)), (level, d, x)
 
 
 def test_is_good_worked_examples():

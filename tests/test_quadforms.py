@@ -1,5 +1,5 @@
-"""Binary quadratic form type and the two enumerators (divisor-pair and
-brute-force box) that realize the finite sums S_{N,Delta}(x)."""
+"""Binary quadratic form type and the divisor-pair enumerator that realizes
+the finite sums S_{N,Delta}(x), checked against a brute-force box search."""
 
 import math
 import random
@@ -9,16 +9,46 @@ import pytest
 
 from lcrit.errors import PreconditionError
 from lcrit.genus import genus_character
-from lcrit.quadforms import (
-    Form,
-    as_point,
-    discriminant,
-    enumerate_forms,
-    enumerate_forms_bruteforce,
-    homogeneous_value,
-)
+from lcrit.quadforms import Form, as_point, discriminant, enumerate_forms
 
 LEVELS = (11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49)
+
+
+def homogeneous_value(form, p, q):
+    """Reference: integer value of the homogenized form at (p, q)."""
+    a, b, c = form
+    return a * p * p + b * p * q + c * q * q
+
+
+def enumerate_forms_bruteforce(level, delta, x, slack=1):
+    """Reference enumeration by direct scan over a covering coefficient box.
+
+    The box |a| <= slack*delta*q^2, |b*q + 2*a*p| <= slack*q*isqrt(delta) + q
+    strictly contains the region the identity allows (slack = 1 already
+    suffices; larger slack widens the box to test that claim).
+    """
+    if slack < 1:
+        raise PreconditionError(f"slack must be >= 1, got {slack}")
+    x = as_point(x)
+    p, q = x.numerator, x.denominator
+    acap = slack * delta * q * q
+    tcap = slack * q * math.isqrt(delta) + q
+    found = []
+    for big_a in range(level, acap + 1, level):
+        a = -big_a
+        shift = 2 * a * p
+        blo = -((tcap + shift) // q)
+        bhi = (tcap - shift) // q
+        four_a = 4 * a
+        for b in range(blo, bhi + 1):
+            cnum = b * b - delta
+            if cnum % four_a:
+                continue
+            c = cnum // four_a
+            if a * p * p + b * p * q + c * q * q > 0:
+                found.append(Form(a, b, c))
+    found.sort()
+    return tuple(found)
 
 
 def test_discriminant_worked_values():
@@ -39,6 +69,9 @@ def test_as_point_coercions():
     assert as_point(Fraction(2, 6)) == Fraction(1, 3)
     with pytest.raises(PreconditionError):
         as_point(0.5)
+    for bad in ("1/0", "abc"):
+        with pytest.raises(PreconditionError, match=repr(bad)):
+            as_point(bad)
 
 
 def test_enumerate_worked_examples():
@@ -86,6 +119,27 @@ def test_enumerators_agree_on_random_cases():
         fast = enumerate_forms(level, delta, x)
         slow = enumerate_forms_bruteforce(level, delta, x, slack=1)
         assert fast == slow, (level, delta, x)
+
+
+def test_enumerators_agree_off_the_registry_points():
+    # points no registry row uses: negative, q > 1 with p > 1, integral
+    rng = random.Random(31104)
+    points = tuple(map(Fraction, ("-1/3", "2/7", "5/2", "1", "-2")))
+    t_zero_forms = 0
+    for level in LEVELS:
+        # 4*level | delta makes the t = 0 class admissible at every point
+        pinned = 4 * level * (2 if math.isqrt(level) ** 2 == level else 1)
+        for x in points:
+            while True:
+                delta = rng.randint(3, 2000)
+                if delta % 4 in (0, 1) and math.isqrt(delta) ** 2 != delta:
+                    break
+            for d in (delta, pinned):
+                fast = enumerate_forms(level, d, x)
+                assert fast == enumerate_forms_bruteforce(level, d, x), (level, d, x)
+                t_zero_forms += sum(b * x.denominator + 2 * a * x.numerator == 0
+                                    for a, b, _ in fast)
+    assert t_zero_forms > 0
 
 
 def test_membership_and_identity_per_form():

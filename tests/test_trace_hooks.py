@@ -3,6 +3,8 @@ names of the package; these checks fail when a refactor moves a call away
 from the name the trace wraps."""
 
 import importlib.util
+import math
+from fractions import Fraction
 from pathlib import Path
 
 from lcrit import criterion, oracle
@@ -56,3 +58,12 @@ def test_f_sum_checks_d0_once_and_reads_one_character_per_form():
     assert stats["genus.genus_character"].calls == forms
     # once in f_sum, at most once more to split D0; never once per form
     assert stats["arith.is_fundamental_discriminant"].calls <= 2
+
+
+def test_f_sum_factorizes_once_per_admissible_t_up_to_sign():
+    level, delta, x = 32, -4219 * -3, Fraction(1, 3)
+    stats = _traced(lambda: criterion.f_sum(level, -3, -4219, x))
+    cap = delta * x.denominator ** 2
+    admissible = [t for t in range(math.isqrt(cap - 1) + 1) if (cap - t * t) % (4 * level) == 0]
+    assert admissible
+    assert stats["arith.divisors"].calls == len(admissible)
