@@ -9,7 +9,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import repeat
 from multiprocessing import Pool
 
@@ -20,7 +19,6 @@ from .arith import is_fundamental_discriminant, is_square
 from .criterion import (LEVELS, Vanishing, compare, enumerate_forms, level_data,
                         table_condition_filter, vanishing_verdict)
 from .errors import PreconditionError
-from .newformdata import TERM_CAP
 
 # lcrit.oracle, the one module that loads numpy, is imported only under --oracle
 
@@ -29,38 +27,13 @@ EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
 COUNT = click.IntRange(min=0)
-ORACLE_TERMS = click.IntRange(min=0, max=TERM_CAP)
-ORACLE_TERMS_HELP = "series terms for --oracle (0: the default truncation); ignored without it"
 # most rows per pool task: a chunk reaches the parent only when all its rows
 # are done, so a bounded chunk lets the first row print early
 CHUNK_CAP = 16
-
-
-@dataclass
-class ScanRow:
-    d: int
-    f_x1: int
-    f_x2: int
-    count_x1: int
-    count_x2: int
-    verdict: str
-    oracle_verdict: str = None
-    oracle_value: float = None
-
-    def csv(self, with_oracle: bool) -> str:
-        base = f"{self.d},{self.f_x1},{self.f_x2},{self.count_x1},{self.count_x2},{self.verdict}"
-        if with_oracle:
-            base += f",{self.oracle_verdict},{self.oracle_value:.6g}"
-        return base
-
-    def json_obj(self, with_oracle: bool) -> dict:
-        obj = {"D": self.d, "f_x1": self.f_x1, "f_x2": self.f_x2,
-               "count_x1": self.count_x1, "count_x2": self.count_x2,
-               "verdict": self.verdict}
-        if with_oracle:
-            obj["oracle_verdict"] = self.oracle_verdict
-            obj["oracle_value"] = self.oracle_value
-        return obj
+# a scan row's columns in order: the CSV header, and the keys of each row dict
+# and NDJSON line; the last two, the oracle's, only under --oracle
+SCAN_FIELDS = ("D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
+               "oracle_verdict", "oracle_value")
 
 
 def _fail(code: int, message: str):
@@ -95,9 +68,8 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--oracle", "with_oracle", is_flag=True,
               help="cross-check with the truncated L-series estimate")
-@click.option("--oracle-terms", type=ORACLE_TERMS, default=0, help=ORACLE_TERMS_HELP)
 @click.option("--dump-forms", is_flag=True)
-def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
+def check(level, disc, as_json, with_oracle, dump_forms):
     """Verdict for one discriminant at one level."""
     def body():
         row = level_data(level)
@@ -107,7 +79,7 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
         est = None
         if with_oracle:
             from .oracle import estimate_l_value
-            est = estimate_l_value(level, disc, oracle_terms)
+            est = estimate_l_value(level, disc)
         if as_json:
             obj = {"level": level, "D": disc, "d0": row.d0,
                    "x1": str(row.x1), "x2": str(row.x2),
@@ -143,13 +115,15 @@ def check(level, disc, as_json, with_oracle, oracle_terms, dump_forms):
 
 
 def _scan_row(job):
+    """The exact columns of one (level, D) row, keyed by SCAN_FIELDS."""
     v = compare(*job)
-    return ScanRow(v.d, v.f_x1, v.f_x2, v.x1_eval.count, v.x2_eval.count, v.outcome.value)
+    return dict(zip(SCAN_FIELDS, (v.d, v.f_x1, v.f_x2, v.x1_eval.count, v.x2_eval.count,
+                                  v.outcome.value)))
 
 
 @contextmanager
 def _scan_rows(jobs, parallel, chunk=None):
-    """ScanRows for (level, D) jobs in order, from a pool of `parallel` workers
+    """Scan rows for (level, D) jobs in order, from a pool of `parallel` workers
     (0: all cores) when that is more than one; chunk None means about four
     chunks per worker, at most CHUNK_CAP rows each.  Leaving the block stops
     the pool."""
@@ -171,9 +145,8 @@ def _scan_rows(jobs, parallel, chunk=None):
 @click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 @click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
 @click.option("--oracle", "with_oracle", is_flag=True)
-@click.option("--oracle-terms", type=ORACLE_TERMS, default=0, help=ORACLE_TERMS_HELP)
 @click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
-def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_terms, out):
+def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, out):
     """Scan discriminants from --from down to --to, one row per valid D."""
     def body():
         row = level_data(level)
@@ -195,17 +168,15 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, oracle_
             raise PreconditionError(f"cannot write --out {out}: {exc.strerror}")
         try:
             if not as_json:
-                header = "D,f_x1,f_x2,count_x1,count_x2,verdict"
-                if with_oracle:
-                    header += ",oracle_verdict,oracle_value"
-                print(header, file=stream, flush=True)
+                fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
+                print(",".join(fields), file=stream, flush=True)
             with _scan_rows(accepted, parallel) as rows:
                 # imported and built after the pool has forked, while the
                 # workers compute rows: they neither map numpy nor wait for it
                 estimates = None
                 if with_oracle:
                     from .oracle import estimate_l_values
-                    estimates = estimate_l_values(level, [d for _, d in accepted], oracle_terms)
+                    estimates = estimate_l_values(level, [d for _, d in accepted])
                 _emit_scan(rows, estimates, stream, as_json)
         finally:
             if out:
@@ -220,9 +191,11 @@ def _emit_scan(rows, estimates, stream, as_json):
     with_oracle = estimates is not None
     for est, r in zip(estimates if with_oracle else repeat(None), rows):
         if with_oracle:
-            r.oracle_verdict = est.verdict.value
-            r.oracle_value = est.value
-        line = json.dumps(r.json_obj(with_oracle)) if as_json else r.csv(with_oracle)
+            r.update(zip(SCAN_FIELDS[-2:], (est.verdict.value, est.value)))
+        if as_json:
+            line = json.dumps(r)
+        else:
+            line = ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in r.values())
         print(line, file=stream, flush=True)
 
 
@@ -253,12 +226,12 @@ def _table_values(name, max_abs_d, parallel):
         computed = list(rows)
     mismatches = 0
     for (d, f1, f2, verdict), got in zip(expected, computed):
-        ok = (got.f_x1, got.f_x2) == (f1, f2)
+        ok = (got["f_x1"], got["f_x2"]) == (f1, f2)
         status = "ok" if ok else f"MISMATCH (expected {f1}, {f2})"
         if not ok:
             mismatches += 1
         suffix = f"  [{verdict}]" if verdict else ""
-        click.echo(f"{d:>12} {got.f_x1:>8} {got.f_x2:>8}  {status}{suffix}")
+        click.echo(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}")
     if mismatches:
         _fail(EXIT_MISMATCH, f"table {name}: {mismatches} row(s) differ from frozen values")
     click.echo(f"all {len(computed)} rows match")

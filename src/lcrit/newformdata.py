@@ -13,10 +13,6 @@ from pathlib import Path
 
 from .errors import DataError
 
-# the most newform coefficients the oracle builds or sums; here rather than in
-# oracle, so the CLI can bound --oracle-terms without importing numpy
-TERM_CAP = 10 ** 7
-
 _DEFAULT_DIR = Path(__file__).parent / "data"
 _FILENAME = "newforms.json"
 

@@ -11,10 +11,11 @@ with C = N*D^2, assuming even functional-equation sign.  The tail is bounded
 rigorously via |a_n| <= 1.75*n, so verdicts are Zero / Nonzero only when the
 truncation cannot change the answer, and Indeterminate otherwise.
 
-`estimate_l_values(level, ds, terms)` builds the series once, for the largest
+Each D is summed to `default_terms(level, d)`; there is no other setting.
+`estimate_l_values(level, ds)` builds the series once, for the largest
 truncation any D of the batch needs, and sums a prefix of it per D; a_n does
 not depend on how far the series is built, so every estimate equals the one
-`estimate_l_value(level, d, terms)`, the batch of one, gives.
+`estimate_l_value(level, d)`, the batch of one, gives.
 """
 
 import math
@@ -26,7 +27,10 @@ import numpy as np
 
 from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import DataError, PreconditionError
-from .newformdata import TERM_CAP, NewformSource, default_sources
+from .newformdata import NewformSource, default_sources
+
+# the most newform coefficients the oracle builds or sums
+TERM_CAP = 10 ** 7
 
 # |value| + tail below T_ZERO decides Zero; |value| - tail above T_NONZERO
 # decides Nonzero; anything between is Indeterminate
@@ -246,10 +250,11 @@ class LValueEstimate:
 
 
 def default_terms(level: int, d: int) -> int:
-    """ceil(6*sqrt(N*D^2)) truncation length, capped; past the cap the tail
-    bound grows until the verdict degrades to Indeterminate on its own."""
+    """ceil(6*sqrt(N*D^2)) truncation length, at least 1 and capped; past the
+    cap the tail bound grows until the verdict degrades to Indeterminate on
+    its own."""
     c = level * d * d
-    return min(math.ceil(6 * math.sqrt(c)), TERM_CAP)
+    return min(max(1, math.ceil(6 * math.sqrt(c))), TERM_CAP)
 
 
 def _chi_vector(d: int, m: int) -> np.ndarray:
@@ -264,26 +269,21 @@ def _chi_vector(d: int, m: int) -> np.ndarray:
 _COEFF_SLOPE = 1.75
 
 
-def twisted_l_value(d: int, coeffs: CoefficientSeries, terms: int = 0) -> LValueEstimate:
-    """Estimate L(E_d, 1) for the series' newform from its first `terms`
-    coefficients (0: all of them) with a rigorous truncation bound; decide
-    Zero / Nonzero only outside the uncertainty band [T_ZERO, T_NONZERO].
+def twisted_l_value(d: int, coeffs: CoefficientSeries) -> LValueEstimate:
+    """Estimate L(E_d, 1) for the series' newform from all of its coefficients
+    with a rigorous truncation bound; decide Zero / Nonzero only outside the
+    uncertainty band [T_ZERO, T_NONZERO].
     """
     if not is_fundamental_discriminant(d) or d >= 0:
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
     level = coeffs.level
-    m = terms or len(coeffs)
-    if m < 1:
-        raise PreconditionError(f"need at least one term, got {m}")
-    if m > len(coeffs):
-        raise PreconditionError(
-            f"insufficient coefficients: need {m}, have {len(coeffs)}")
+    m = len(coeffs)
     c = level * d * d
     decay = 2 * math.pi / math.sqrt(c)
     n = np.arange(1, m + 1, dtype=np.float64)
     weights = np.exp(-decay * n) / n
     chi = _chi_vector(d, m)
-    value = 2.0 * float(np.sum(coeffs.a[1:m + 1] * chi * weights))
+    value = 2.0 * float(np.sum(coeffs.a[1:] * chi * weights))
     r = math.exp(-decay)
     tail = 2.0 * _COEFF_SLOPE * r ** (m + 1) / (1.0 - r)
     if abs(value) + tail < T_ZERO:
@@ -301,21 +301,20 @@ def twisted_l_value(d: int, coeffs: CoefficientSeries, terms: int = 0) -> LValue
     return LValueEstimate(d, value, m, tail, verdict, tuple(caveats))
 
 
-def estimate_l_values(level: int, ds, terms: int = 0):
+def estimate_l_values(level: int, ds):
     """Estimates of L(E_d, 1) for each d of the list ds, in order, each from
-    its first `terms` coefficients (0: default_terms(level, d)).  The first
-    estimate builds the level's series once, for the largest truncation
-    (newform_coefficients checks it against the cap); an empty ds builds
-    nothing."""
-    ms = [terms or default_terms(level, d) for d in ds]
+    its first default_terms(level, d) coefficients.  The first estimate
+    builds the level's series once, for the largest truncation, and each D
+    sums a prefix of it (a view, not a copy); an empty ds builds nothing."""
+    ms = [default_terms(level, d) for d in ds]
     if not ms:
         return
     coeffs = newform_coefficients(level, max(ms))
     for d, m in zip(ds, ms):
-        yield twisted_l_value(d, coeffs, terms=m)
+        yield twisted_l_value(d, CoefficientSeries(level, coeffs.a[:m + 1]))
 
 
-def estimate_l_value(level: int, d: int, terms: int = 0) -> LValueEstimate:
+def estimate_l_value(level: int, d: int) -> LValueEstimate:
     """Estimate L(E_d, 1) for the level's packaged newform from its first
-    `terms` coefficients (0: default_terms); the batch of one."""
-    return next(estimate_l_values(level, [d], terms))
+    default_terms(level, d) coefficients; the batch of one."""
+    return next(estimate_l_values(level, [d]))

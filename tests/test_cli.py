@@ -16,11 +16,11 @@ import pytest
 from click.testing import CliRunner
 
 import lcrit
-from lcrit import cli, newformdata, oracle, reference
+from lcrit import cli, oracle, reference
 from lcrit.arith import is_fundamental_discriminant
 from lcrit.cli import main
 from lcrit.criterion import LEVELS, table_condition
-from lcrit.oracle import TERM_CAP, estimate_l_value
+from lcrit.oracle import estimate_l_value
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -178,23 +178,6 @@ def test_scan_chunks_stay_small(monkeypatch):
     assert sizes[1:] == [1]
 
 
-def test_scan_oracle_rows_use_oracle_terms():
-    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
-               "--oracle", "--oracle-terms", "50", "--parallel", "1")
-    assert r.exit_code == 0
-    lines = r.output.strip().splitlines()
-    assert lines[0] == "D,f_x1,f_x2,count_x1,count_x2,verdict,oracle_verdict,oracle_value"
-    assert len(lines) > 1
-    for line in lines[1:]:
-        d, *_, oracle_verdict, oracle_value = line.split(",")
-        est = estimate_l_value(32, int(d), 50)
-        assert (oracle_verdict, oracle_value) == (est.verdict.value, f"{est.value:.6g}"), d
-    r = invoke("check", "--level", "32", "--disc", "-219", "--oracle", "--json",
-               "--oracle-terms", "50")
-    assert r.exit_code == 0
-    assert json.loads(r.output)["oracle"]["terms"] == 50
-
-
 def test_scan_oracle_builds_once_per_window(monkeypatch):
     built = []
     build = oracle.newform_coefficients
@@ -216,6 +199,24 @@ def test_scan_oracle_builds_once_per_window(monkeypatch):
     assert r.output.strip() == ("D,f_x1,f_x2,count_x1,count_x2,verdict,"
                                 "oracle_verdict,oracle_value")
     assert built == []
+
+
+def test_scan_csv_and_json_rows_agree():
+    # one field list: the CSV header is the NDJSON keys, and each CSV row is
+    # its JSON row's values, the oracle value printed as .6g
+    window = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
+              "--parallel", "1")
+    for extra in ((), ("--oracle",)):
+        csv_lines = invoke(*window, *extra).output.splitlines()
+        objs = [json.loads(line) for line in invoke(*window, *extra, "--json").output.splitlines()]
+        assert len(objs) == len(csv_lines) - 1 > 1
+        header = csv_lines[0].split(",")
+        assert header == ["D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
+                          *(["oracle_verdict", "oracle_value"] if extra else [])]
+        for line, obj in zip(csv_lines[1:], objs):
+            assert list(obj) == header
+            cells = [f"{v:.6g}" if k == "oracle_value" else str(v) for k, v in obj.items()]
+            assert line == ",".join(cells)
 
 
 def test_scan_json_roundtrip():
@@ -270,35 +271,13 @@ def test_scan_oracle_needs_fundamental_d():
 
 
 def test_negative_counts_rejected():
-    # --oracle-terms on both oracle routes (17: point counts, 32: eta quotient)
-    for level in ("17", "32"):
-        r = invoke("check", "--level", level, "--disc", "-3", "--oracle",
-                   "--oracle-terms", "-5")
-        assert r.exit_code == 2, r.output
-    assert invoke("scan", "--level", "32", "--from", "-3", "--to", "-20", "--good-only",
-                  "--oracle", "--oracle-terms", "-5", "--parallel", "1").exit_code == 2
-    assert invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
-                  "--parallel", "-4").exit_code == 2
-    assert invoke("table", "maincor", "--max-abs-d", "-5").exit_code == 2
-    assert invoke("table", "maincor", "--max-abs-d", "500", "--parallel", "-4").exit_code == 2
-
-
-def test_term_cap_has_one_home():
-    assert oracle.TERM_CAP is newformdata.TERM_CAP
-    assert cli.ORACLE_TERMS.max is newformdata.TERM_CAP
-
-
-def test_oracle_terms_above_cap_rejected():
-    # refused while parsing options: no header, no pool, no oracle call
-    too_many = str(TERM_CAP + 1)
-    r = invoke("check", "--level", "32", "--disc", "-11", "--oracle", "--oracle-terms", too_many)
-    assert r.exit_code == 2, r.output
-    for parallel in ("1", "2"):
-        r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-200", "--good-only",
-                   "--oracle", "--oracle-terms", too_many, "--parallel", parallel)
-        assert r.exit_code == 2, r.output
-        assert "D,f_x1" not in r.output
-        assert "--oracle-terms" in r.output
+    # refused by the option's range, not as an unknown option
+    for args in (("scan", "--level", "32", "--from", "-3", "--to", "-20", "--parallel", "-4"),
+                 ("table", "maincor", "--max-abs-d", "-5"),
+                 ("table", "maincor", "--max-abs-d", "500", "--parallel", "-4")):
+        r = invoke(*args)
+        assert r.exit_code == 2, args
+        assert "is not in the range x>=0" in r.output, r.output
 
 
 def test_tables_match_frozen_values():
@@ -380,7 +359,7 @@ def test_readme_library_lines_hold():
             continue
         assert str(eval(code, namespace)) == value.strip(), code
         checked += 1
-    assert checked == 7
+    assert checked == 6
 
 
 def run_python(args, cwd, timeout):
@@ -463,7 +442,6 @@ def test_startup_and_exact_paths_load_no_numpy(tmp_path):
     runs = [("--help",), (*scan, "--parallel", "1"), (*scan, "--parallel", "2"),
             ("table", "cubes", "--max-abs-d", "3200", "--parallel", "2"),
             ("check", "--level", "32", "--disc", "-219", "--json", "--dump-forms"),
-            ("check", "--level", "32", "--disc", "-219", "--oracle-terms", "50"),
             ("congruent", "219"), ("cubes", "7")]
     out, steps = _numpy_probe(tmp_path, *runs)
     assert "D,f_x1,f_x2,count_x1,count_x2,verdict" in out

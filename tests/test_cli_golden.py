@@ -36,7 +36,7 @@ COMMANDS = (
     ("scan", "--level", "49", "--from", "-3", "--to", "-150", "--good-only", "--oracle",
      "--parallel", "2"),
     ("scan", "--level", "11", "--from", "-3", "--to", "-300", "--good-only", "--oracle",
-     "--oracle-terms", "400", "--parallel", "1"),
+     "--parallel", "1"),
     ("congruent", "11"),
     ("cubes", "7"),
     # error cases
@@ -46,7 +46,6 @@ COMMANDS = (
     ("scan", "--level", "32", "--from", "-9", "--to", "-5"),
     ("scan", "--level", "32", "--from", "-3", "--to", "-20", "--oracle"),
     ("scan", "--level", "32", "--from", "-3", "--to", "-5", "--parallel", "-1"),
-    ("check", "--level", "32", "--disc", "-11", "--oracle", "--oracle-terms", "10000001"),
     ("congruent", "7"),
     ("cubes", "5"),
 )
@@ -82,8 +81,8 @@ DIGESTS = {
         "f5f1d9469fe56d57f94d8b7af22bfee419df5fc2afad964ce0d9e7878d44f796",
     "scan --level 49 --from -3 --to -150 --good-only --oracle --parallel 2":
         "f256d61d4767049f01d2a9ef7237b874d83bd04b4a06e3cf82be3a75fa5d2e25",
-    "scan --level 11 --from -3 --to -300 --good-only --oracle --oracle-terms 400 --parallel 1":
-        "702b33f136936772d4ea93447b54e564450e8894c280e20dd6924b452078e828",
+    "scan --level 11 --from -3 --to -300 --good-only --oracle --parallel 1":
+        "722e2b67dfb73c4f815f23b2518c96ea4a34a7e96aaaa10e7e320737286613cb",
     "congruent 11":
         "0043dab8bec013f32f1a90b704d72dc5124ace00eff184d0da1594f9d10a144f",
     "cubes 7":
@@ -100,8 +99,6 @@ DIGESTS = {
         "fa2303b16da1e2587f7c8bd55b3d4367b3d91609c42bf38a54ed192c88860610",
     "scan --level 32 --from -3 --to -5 --parallel -1":
         "278e02fe2f0493f0d8fcc58166a933e546cfe5627556b23d98f56b3ee927e6de",
-    "check --level 32 --disc -11 --oracle --oracle-terms 10000001":
-        "d5ff26481adc785085b3b06ace4f09be803b8761a12b984997f6e742f02eef42",
     "congruent 7":
         "4b0224e6e3a6e4d87eb1ef745faebe40653b920347f3ab575c3dd0d622ffa4d4",
     "cubes 5":

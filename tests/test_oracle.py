@@ -212,8 +212,7 @@ def test_verdict_band_definition():
 
 
 def test_short_truncation_is_indeterminate():
-    coeffs = newform_coefficients(32, 2000)
-    est = twisted_l_value(-571, coeffs, terms=5)
+    est = twisted_l_value(-571, newform_coefficients(32, 5))
     assert est.verdict is OracleVerdict.INDETERMINATE
     assert est.terms_used == 5
 
@@ -225,7 +224,8 @@ def test_monotone_refinement():
         coeffs = newform_coefficients(level, 2 * full)
         decided = []
         for m in (full // 4, full // 2, full, 2 * full):
-            est = twisted_l_value(d, coeffs, terms=m)
+            est = twisted_l_value(d, CoefficientSeries(level, coeffs.a[:m + 1]))
+            assert est.terms_used == m
             if est.verdict is not OracleVerdict.INDETERMINATE:
                 decided.append(est.verdict)
         assert decided, (level, d)
@@ -238,8 +238,11 @@ def test_twisted_preconditions():
         twisted_l_value(-9, coeffs)  # not fundamental
     with pytest.raises(PreconditionError):
         twisted_l_value(11, coeffs)  # positive
-    with pytest.raises(PreconditionError):
-        twisted_l_value(-11, coeffs, terms=101)
+    assert twisted_l_value(-11, coeffs).terms_used == 100  # the whole series
+    # D = 0 has a one-term truncation, so a batch reaches the D check
+    for ds in ([0], [-3, 0]):
+        with pytest.raises(PreconditionError, match="got 0"):
+            list(estimate_l_values(32, ds))
 
 
 def _count_builds(monkeypatch, build=oracle.newform_coefficients):
@@ -256,30 +259,33 @@ def _count_builds(monkeypatch, build=oracle.newform_coefficients):
 
 def test_batch_equals_per_d(monkeypatch):
     # one series built for the largest truncation and sliced per D gives
-    # exactly the per-D estimates, float value included
+    # exactly the per-D estimates, float value included: each equals the
+    # batch of one and the sum over a series built to that D's truncation
     ds = [-131, -7, -84, -40, -3, -111, -23]  # not in |D| order
     assert all(is_fundamental_discriminant(d) for d in ds)
     for level in (17, 19, 21, 49, 11, 32):
-        for terms in (0, 300):
-            single = [estimate_l_value(level, d, terms) for d in ds]
-            built = _count_builds(monkeypatch)
-            batch = list(estimate_l_values(level, ds, terms))
-            monkeypatch.undo()
-            assert batch == single, (level, terms)
-            assert built == [terms or max(default_terms(level, d) for d in ds)], (level, terms)
+        alone = [twisted_l_value(d, newform_coefficients(level, default_terms(level, d)))
+                 for d in ds]
+        assert [estimate_l_value(level, d) for d in ds] == alone, level
+        built = _count_builds(monkeypatch)
+        batch = list(estimate_l_values(level, ds))
+        monkeypatch.undo()
+        assert batch == alone, level
+        assert built == [max(default_terms(level, d) for d in ds)], level
 
 
 def test_batch_cap_and_empty_batch_build_nothing(monkeypatch):
-    # an over-cap batch is rejected before any a_p or eta term is computed
+    # a batch whose truncation passes the cap asks for TERM_CAP terms, no
+    # more; an empty batch asks for none
     def refuse(*args):
         raise AssertionError(f"computed {args}")
-    monkeypatch.setattr(oracle, "curve_ap", refuse)
-    monkeypatch.setattr(oracle, "eta_coefficients", refuse)
-    with pytest.raises(PreconditionError, match="exceeds the term cap"):
-        list(estimate_l_values(17, [-3, -7], TERM_CAP + 1))
-    with pytest.raises(PreconditionError, match="exceeds the term cap"):
-        estimate_l_value(32, -11, TERM_CAP + 1)
     built = _count_builds(monkeypatch, refuse)
+    d = -300003
+    assert is_fundamental_discriminant(d) and 6 * math.sqrt(32) * abs(d) > TERM_CAP
+    with pytest.raises(AssertionError):
+        list(estimate_l_values(32, [-3, d]))
+    assert built == [TERM_CAP]
+    built.clear()
     assert list(estimate_l_values(17, [])) == []
     assert built == []
 
@@ -287,9 +293,9 @@ def test_batch_cap_and_empty_batch_build_nothing(monkeypatch):
 def test_caveats():
     est = estimate_l_value(32, -11)
     assert any("sign" in c for c in est.caveats)
-    est = estimate_l_value(15, -39, terms=500)
+    est = twisted_l_value(-39, newform_coefficients(15, 500))
     assert any("gcd" in c for c in est.caveats)
-    est = estimate_l_value(27, -4, terms=500)
+    est = twisted_l_value(-4, newform_coefficients(27, 500))
     assert any("even D" in c for c in est.caveats)
 
 
