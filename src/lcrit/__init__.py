@@ -2,8 +2,9 @@
 dimension-one levels, with an independent truncated-L-series cross-check.
 
 The criterion compares two finite genus-character-weighted counts of binary
-quadratic forms; equality decides vanishing.  See criterion.vanishing_verdict
-(criterion.compare without its domain gates) and cli for the command line.
+quadratic forms; equality decides vanishing.  See criterion.compare (the one
+evaluation and comparison), criterion.vanishing_verdict (compare behind its
+domain gates) and cli for the command line.
 
 The numeric oracle (estimate_l_value, estimate_l_values, CurveModel, ...) is
 imported from lcrit.oracle, not from here: it is the only module that needs

@@ -49,7 +49,7 @@ def _guarded(body):
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
 
 
@@ -84,7 +84,7 @@ def check(level, disc, as_json, with_oracle, dump_forms):
             obj = {"level": level, "D": disc, "d0": row.d0,
                    "x1": str(row.x1), "x2": str(row.x2),
                    "f_x1": v.f_x1, "f_x2": v.f_x2,
-                   "count_x1": v.x1_eval.count, "count_x2": v.x2_eval.count,
+                   "count_x1": v.count_x1, "count_x2": v.count_x2,
                    "verdict": v.outcome.value}
             if v.note:
                 obj["note"] = v.note
@@ -97,8 +97,8 @@ def check(level, disc, as_json, with_oracle, dump_forms):
             click.echo(json.dumps(obj))
             return
         click.echo(f"level {level}  D = {disc}  D0 = {row.d0}  Delta = {disc * row.d0}")
-        click.echo(f"F({row.x1}) = {v.f_x1}   ({v.x1_eval.count} forms)")
-        click.echo(f"F({row.x2}) = {v.f_x2}   ({v.x2_eval.count} forms)")
+        click.echo(f"F({row.x1}) = {v.f_x1}   ({v.count_x1} forms)")
+        click.echo(f"F({row.x2}) = {v.f_x2}   ({v.count_x2} forms)")
         sign = "=" if v.outcome is Vanishing.L_VANISHES else "!="
         click.echo(f"verdict: L {sign} 0 ({v.outcome.value})")
         if v.note:
@@ -117,7 +117,7 @@ def check(level, disc, as_json, with_oracle, dump_forms):
 def _scan_row(job):
     """The exact columns of one (level, D) row, keyed by SCAN_FIELDS."""
     v = compare(*job)
-    return dict(zip(SCAN_FIELDS, (v.d, v.f_x1, v.f_x2, v.x1_eval.count, v.x2_eval.count,
+    return dict(zip(SCAN_FIELDS, (v.d, v.f_x1, v.f_x2, v.count_x1, v.count_x2,
                                   v.outcome.value)))
 
 
@@ -145,8 +145,7 @@ def _scan_rows(jobs, parallel, chunk=None):
 @click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
 @click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
 @click.option("--oracle", "with_oracle", is_flag=True)
-@click.option("--out", type=click.Path(), default=None, help="write to file instead of stdout")
-def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, out):
+def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
     """Scan discriminants from --from down to --to, one row per valid D."""
     def body():
         row = level_data(level)
@@ -162,29 +161,21 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle, out):
                     raise PreconditionError(f"--oracle needs fundamental D; D = {d} "
                                             "is not one (--good-only skips it)")
         accepted = [(level, d) for d in ds]
-        try:
-            stream = open(out, "w") if out else sys.stdout
-        except OSError as exc:
-            raise PreconditionError(f"cannot write --out {out}: {exc.strerror}")
-        try:
-            if not as_json:
-                fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
-                print(",".join(fields), file=stream, flush=True)
-            with _scan_rows(accepted, parallel) as rows:
-                # imported and built after the pool has forked, while the
-                # workers compute rows: they neither map numpy nor wait for it
-                estimates = None
-                if with_oracle:
-                    from .oracle import estimate_l_values
-                    estimates = estimate_l_values(level, [d for _, d in accepted])
-                _emit_scan(rows, estimates, stream, as_json)
-        finally:
-            if out:
-                stream.close()
+        if not as_json:
+            fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
+            print(",".join(fields), flush=True)
+        with _scan_rows(accepted, parallel) as rows:
+            # imported and built after the pool has forked, while the
+            # workers compute rows: they neither map numpy nor wait for it
+            estimates = None
+            if with_oracle:
+                from .oracle import estimate_l_values
+                estimates = estimate_l_values(level, [d for _, d in accepted])
+            _emit_scan(rows, estimates, as_json)
     _guarded(body)
 
 
-def _emit_scan(rows, estimates, stream, as_json):
+def _emit_scan(rows, estimates, as_json):
     """Print the rows in order, with one oracle estimate each unless
     `estimates` is None.  The estimate is drawn before its row, so the
     parent builds the coefficient series while the workers compute rows."""
@@ -196,30 +187,27 @@ def _emit_scan(rows, estimates, stream, as_json):
             line = json.dumps(r)
         else:
             line = ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in r.values())
-        print(line, file=stream, flush=True)
+        print(line, flush=True)
 
 
 @main.command()
 @click.argument("name", type=click.Choice(["maincor", "primes", "cubes", "discs"]))
-@click.option("--max-abs-d", type=COUNT, default=0, help="limit rows to |D| <= bound")
 @click.option("--parallel", type=COUNT, default=0,
               help="worker count (default: all cores); ignored by discs, which runs in one process")
-def table(name, max_abs_d, parallel):
+def table(name, parallel):
     """Recompute a built-in reference table and compare against frozen values."""
     def body():
         if name == "discs":
-            _table_discs(max_abs_d)
+            _table_discs()
         else:
-            _table_values(name, max_abs_d, parallel)
+            _table_values(name, parallel)
     _guarded(body)
 
 
-def _table_values(name, max_abs_d, parallel):
+def _table_values(name, parallel):
     level = reference.TABLE_LEVEL[name]
     row = level_data(level)
     expected = reference.rows_for(name)
-    if max_abs_d:
-        expected = [e for e in expected if abs(e[0]) <= max_abs_d]
     click.echo(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})")
     click.echo(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status")
     with _scan_rows([(level, d) for d, _, _, _ in expected], parallel, chunk=1) as rows:
@@ -237,29 +225,26 @@ def _table_values(name, max_abs_d, parallel):
     click.echo(f"all {len(computed)} rows match")
 
 
-def _table_discs(max_abs_d):
+def _table_discs():
     click.echo("level registry and non-invariance lists "
                "(* = listed good fundamental entry)")
     mismatches = 0
     for level in sorted(LEVELS):
         row = LEVELS[level]
-        last = max(row.noninvariant_m)
-        bound = min(last, max_abs_d) if max_abs_d else last
         recomputed = []
-        for m in range(3, bound + 1):
+        for m in range(3, max(row.noninvariant_m) + 1):
             if not _valid_pair(-m, row.d0):
                 continue
             if compare(level, -m).outcome is Vanishing.L_NONZERO:
                 recomputed.append(m)
-        listed = [m for m in row.noninvariant_m if m <= bound]
-        listed_valid = [m for m in listed if _valid_pair(-m, row.d0)]
-        skipped = [m for m in listed if m not in listed_valid]
+        listed_valid = [m for m in row.noninvariant_m if _valid_pair(-m, row.d0)]
+        skipped = [m for m in row.noninvariant_m if m not in listed_valid]
         missing = [m for m in listed_valid if m not in recomputed]
         extra = [m for m in recomputed if m not in listed_valid]
         mark = lambda m: f"{m}*" if m in row.underlined_m else str(m)
         click.echo(f"level {level:>2}  D0 = {row.d0:>3}  x = ({row.x1}, {row.x2})  "
                    f"condition: {row.condition}")
-        click.echo(f"  listed:     {' '.join(mark(m) for m in listed)}")
+        click.echo(f"  listed:     {' '.join(mark(m) for m in row.noninvariant_m)}")
         click.echo(f"  recomputed: {' '.join(str(m) for m in recomputed)}")
         if skipped:
             click.echo(f"  skipped (square |D*D0| or non-discriminant): "

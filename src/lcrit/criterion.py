@@ -193,17 +193,11 @@ class VanishingVerdict:
     level: int
     d: int
     outcome: Vanishing
-    x1_eval: FEvaluation
-    x2_eval: FEvaluation
+    f_x1: int
+    f_x2: int
+    count_x1: int
+    count_x2: int
     note: str = ""
-
-    @property
-    def f_x1(self) -> int:
-        return self.x1_eval.value
-
-    @property
-    def f_x2(self) -> int:
-        return self.x2_eval.value
 
 
 def compare(level: int, d: int) -> VanishingVerdict:
@@ -214,7 +208,7 @@ def compare(level: int, d: int) -> VanishingVerdict:
     e1 = f_sum(level, row.d0, d, row.x1)
     e2 = f_sum(level, row.d0, d, row.x2)
     outcome = Vanishing.L_VANISHES if e1.value == e2.value else Vanishing.L_NONZERO
-    return VanishingVerdict(level, d, outcome, e1, e2)
+    return VanishingVerdict(level, d, outcome, e1.value, e2.value, e1.count, e2.count)
 
 
 def vanishing_verdict(level: int, d: int) -> VanishingVerdict:

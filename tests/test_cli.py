@@ -1,7 +1,7 @@
-"""Command-line interface: exit codes, CSV/JSON schemas, scan determinism
-across worker counts, pool chunk sizes, oracle columns, reference-table
-comparison, numpy loaded only by the oracle, and the options the README
-names."""
+"""Command-line interface: exit codes (a closed stdout and an unexpected
+error included), CSV/JSON schemas, scan determinism across worker counts,
+pool chunk sizes, oracle columns, reference-table comparison, numpy loaded
+only by the oracle, and README naming every option and no other."""
 
 import json
 import multiprocessing.pool
@@ -174,7 +174,7 @@ def test_scan_chunks_stay_small(monkeypatch):
     assert parallel.output == serial.output
     assert len(sizes) == 1 and 1 <= sizes[0] <= cli.CHUNK_CAP
     # tables keep one row per task
-    assert invoke("table", "cubes", "--max-abs-d", "3200", "--parallel", "2").exit_code == 0
+    assert invoke("table", "cubes", "--parallel", "2").exit_code == 0
     assert sizes[1:] == [1]
 
 
@@ -232,26 +232,6 @@ def test_scan_json_roundtrip():
         assert abs(obj["f_x2"]) <= obj["count_x2"]
 
 
-def test_scan_to_file(tmp_path):
-    out = tmp_path / "rows.csv"
-    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-50",
-               "--parallel", "1", "--out", str(out))
-    assert r.exit_code == 0
-    assert r.output == ""
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "D,f_x1,f_x2,count_x1,count_x2,verdict"
-    assert len(lines) > 1
-
-
-def test_scan_out_unwritable(tmp_path):
-    out = tmp_path / "missing" / "rows.csv"
-    r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
-               "--parallel", "1", "--out", str(out))
-    assert r.exit_code == 2, r.output
-    assert str(out) in r.output
-    assert not out.parent.exists()
-
-
 def test_scan_range_validation():
     assert invoke("scan", "--level", "32", "--from", "-50", "--to", "-3",
                   "--parallel", "1").exit_code == 2
@@ -270,26 +250,48 @@ def test_scan_oracle_needs_fundamental_d():
     assert "D = -16" in r.output and "--oracle needs fundamental D" in r.output
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops early (`lcrit scan ... | head`) is not an error
+    for parallel in ("1", "2"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lcrit.cli", "scan", "--level", "32", "--from", "-3",
+             "--to", "-3000", "--good-only", "--parallel", parallel],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path)
+        proc.stdout.close()  # the child has not started: its first write, the header, fails
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b"", parallel
+
+
+def test_unexpected_error_exits_internal(monkeypatch):
+    def boom(level, d):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "vanishing_verdict", boom)
+    r = invoke("check", "--level", "32", "--disc", "-11")
+    assert r.exit_code == cli.EXIT_INTERNAL == 1
+    assert "error: internal: RuntimeError: boom" in r.output
+
+
 def test_negative_counts_rejected():
     # refused by the option's range, not as an unknown option
     for args in (("scan", "--level", "32", "--from", "-3", "--to", "-20", "--parallel", "-4"),
-                 ("table", "maincor", "--max-abs-d", "-5"),
-                 ("table", "maincor", "--max-abs-d", "500", "--parallel", "-4")):
+                 ("table", "maincor", "--parallel", "-4")):
         r = invoke(*args)
         assert r.exit_code == 2, args
         assert "is not in the range x>=0" in r.output, r.output
 
 
 def test_tables_match_frozen_values():
-    r = invoke("table", "maincor", "--max-abs-d", "5000", "--parallel", "1")
+    r = invoke("table", "maincor", "--parallel", "1")
     assert r.exit_code == 0
-    assert "all 7 rows match" in r.output
-    r = invoke("table", "primes", "--max-abs-d", "6000", "--parallel", "2")
+    assert "all 14 rows match" in r.output
+    r = invoke("table", "primes", "--parallel", "2")
     assert r.exit_code == 0
-    assert "all 6 rows match" in r.output
-    r = invoke("table", "cubes", "--max-abs-d", "3200", "--parallel", "1")
+    assert "all 14 rows match" in r.output
+    r = invoke("table", "cubes", "--parallel", "1")
     assert r.exit_code == 0
-    assert "all 7 rows match" in r.output
+    assert "all 16 rows match" in r.output
 
 
 def test_table_discs_reproduces_lists():
@@ -335,14 +337,24 @@ def _readme_options():
             for opt in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)}
 
 
+def _cli_options():
+    """Every option of the `lcrit` group and of its commands, --help included."""
+    return {opt for command in (main, *main.commands.values())
+            for param in command.get_params(click.Context(command))
+            if isinstance(param, click.Option)
+            for opt in (*param.opts, *param.secondary_opts)}
+
+
 def test_readme_options_exist():
-    known = set()
-    for command in (main, *main.commands.values()):
-        for param in command.get_params(click.Context(command)):
-            known.update(param.opts, param.secondary_opts)
     named = _readme_options()
     assert "--good-only" in named
-    assert named <= known, sorted(named - known)
+    unknown = named - _cli_options()
+    assert not unknown, sorted(unknown)
+
+
+def test_cli_options_are_documented():
+    undocumented = _cli_options() - {"--help"} - _readme_options()
+    assert not undocumented, sorted(undocumented)
 
 
 def test_readme_library_lines_hold():
@@ -363,21 +375,25 @@ def test_readme_library_lines_hold():
 
 
 def run_python(args, cwd, timeout):
-    """Run this interpreter on `args` with the imported lcrit package first
-    on PYTHONPATH, so a subprocess never picks up another installed copy."""
+    """Run this interpreter on `args` in `_child_env()`, so a subprocess never
+    picks up another installed copy of lcrit."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, env=_child_env(), cwd=cwd)
+
+
+def _child_env():
+    """This environment with the imported lcrit package first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=timeout, env=env, cwd=cwd)
+    return env
 
 
 def test_module_entry_point(tmp_path):
-    proc = run_python(["-m", "lcrit.cli", "table", "maincor",
-                       "--max-abs-d", "500", "--parallel", "1"],
+    proc = run_python(["-m", "lcrit.cli", "table", "maincor", "--parallel", "1"],
                       tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "all 6 rows match" in proc.stdout
+    assert "all 14 rows match" in proc.stdout
 
 
 def test_console_script_help(tmp_path):
@@ -440,7 +456,7 @@ def _numpy_probe(tmp_path, *runs):
 def test_startup_and_exact_paths_load_no_numpy(tmp_path):
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-300", "--good-only")
     runs = [("--help",), (*scan, "--parallel", "1"), (*scan, "--parallel", "2"),
-            ("table", "cubes", "--max-abs-d", "3200", "--parallel", "2"),
+            ("table", "cubes", "--parallel", "2"),
             ("check", "--level", "32", "--disc", "-219", "--json", "--dump-forms"),
             ("congruent", "219"), ("cubes", "7")]
     out, steps = _numpy_probe(tmp_path, *runs)

@@ -18,8 +18,8 @@ from lcrit.cli import main
 _SCAN = ("scan", "--level", "32", "--from", "-3", "--to", "-400")
 
 COMMANDS = (
-    ("table", "maincor", "--max-abs-d", "5000", "--parallel", "1"),
-    ("table", "cubes", "--max-abs-d", "3200", "--parallel", "2"),
+    ("table", "maincor", "--parallel", "1"),
+    ("table", "cubes", "--parallel", "2"),
     ("table", "discs"),
     ("check", "--level", "32", "--disc", "-11", "--json", "--dump-forms"),
     ("check", "--level", "27", "--disc", "-3115", "--dump-forms"),
@@ -51,10 +51,10 @@ COMMANDS = (
 )
 
 DIGESTS = {
-    "table maincor --max-abs-d 5000 --parallel 1":
-        "247b132f88b9affeed79444775135d38c782e7f820e330ff47bec2f5e657e8e2",
-    "table cubes --max-abs-d 3200 --parallel 2":
-        "cd548fea0389d9267d0671007ac0b1390e1205059b793bba332a7c5a6043370d",
+    "table maincor --parallel 1":
+        "1d575b14109a7c2269510d37f0664e2d6a24c1434aee528f6e150d93a6cd8a9c",
+    "table cubes --parallel 2":
+        "af9fd0848e026bb58b63524b8f1f7d31f280bff614c9620eb9a598d949e6dc27",
     "table discs":
         "90931a49d2015f0d4f3e321b60aa8a53fa6723deb68576297516e117032725b8",
     "check --level 32 --disc -11 --json --dump-forms":
