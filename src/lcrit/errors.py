@@ -3,4 +3,4 @@ class PreconditionError(ValueError):
 
 
 class DataError(PreconditionError):
-    """A data file is missing, malformed, or fails validation."""
+    """Coefficient data fails validation (a series with a_1 != 1)."""

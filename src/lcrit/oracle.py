@@ -27,7 +27,7 @@ import numpy as np
 
 from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import DataError, PreconditionError
-from .newformdata import NewformSource, default_sources
+from .newformdata import NewformSource, load_newform_data
 
 # the most newform coefficients the oracle builds or sums
 TERM_CAP = 10 ** 7
@@ -76,10 +76,9 @@ def _check_length(m: int):
 
 def eta_coefficients(level: int, m: int) -> CoefficientSeries:
     """Expand the registered eta quotient for the level through q^m and
-    return a_1..a_m (the leading q^(sum d*e/24) shift, an integer >= 1 by
-    the loader's checks, is accounted for)."""
+    return a_1..a_m (the leading q^(sum d*e/24) shift is accounted for)."""
     _check_length(m)
-    src = default_sources().get(level)
+    src = load_newform_data().get(level)
     if src is None or not src.eta:
         raise PreconditionError(f"no eta-quotient expansion registered for level {level}")
     shift = sum(d * e for d, e in src.eta) // 24
@@ -223,7 +222,7 @@ def newform_coefficients(level: int, m: int) -> CoefficientSeries:
     """a_1..a_m for the level's newform, via eta quotient when registered,
     else curve_ap on the Weierstrass model at every prime <= m."""
     _check_length(m)
-    src = default_sources().get(level)
+    src = load_newform_data().get(level)
     if src is None:
         raise PreconditionError(f"no coefficient source registered for level {level}")
     if src.eta:

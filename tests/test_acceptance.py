@@ -38,7 +38,7 @@ from lcrit.oracle import (
     eta_coefficients,
     extend_multiplicatively,
 )
-from lcrit.newformdata import default_sources
+from lcrit.newformdata import load_newform_data
 from lcrit.quadforms import Form, discriminant, enumerate_forms
 from lcrit.reference import CUBES_ROWS, MAINCOR_ROWS, PRIMES_ROWS
 from test_genus import _box_character
@@ -280,7 +280,7 @@ def test_criterion_8_oracle_concordance():
         assert zeros == {(32, -219), (32, -371), (27, -31), (27, -283), (27, -3115)}
         # independent coefficient routes agree at the two verdict levels
         for level in (27, 32):
-            curve = CurveModel.from_source(default_sources()[level])
+            curve = CurveModel.from_source(load_newform_data()[level])
             ap = {}
             for p in range(2, 201):
                 if not is_prime(p):

@@ -1,7 +1,6 @@
 """Newform coefficient generation (eta quotients, point counts, Hecke
 extension) and the truncated central-value estimate with rigorous tails."""
 
-import json
 import math
 import random
 from math import gcd
@@ -13,7 +12,7 @@ from lcrit import oracle
 from lcrit.arith import factorize, is_fundamental_discriminant, is_prime
 from lcrit.criterion import LEVELS
 from lcrit.errors import DataError, PreconditionError
-from lcrit.newformdata import NewformSource, load_newform_data, default_sources
+from lcrit.newformdata import load_newform_data
 from lcrit.oracle import (
     T_NONZERO,
     T_ZERO,
@@ -36,11 +35,12 @@ CURVE_ONLY_LEVELS = (17, 19, 21, 49)
 
 
 def test_registered_sources_cover_all_levels():
-    sources = default_sources()
+    sources = load_newform_data()
     assert set(sources) == set(LEVELS)
     for level in ETA_LEVELS:
         assert sources[level].eta
         assert sum(d * e for d, e in sources[level].eta) == 24
+        assert all(e > 0 for _, e in sources[level].eta), level
     for level in CURVE_ONLY_LEVELS:
         assert not sources[level].eta
 
@@ -48,7 +48,7 @@ def test_registered_sources_cover_all_levels():
 def test_registered_models_have_level_support():
     # the model's discriminant must be divisible by exactly the primes of N
     for level in LEVELS:
-        src = default_sources()[level]
+        src = load_newform_data()[level]
         assert src.weierstrass, level
         disc = CurveModel.from_source(src).disc
         assert disc != 0
@@ -108,7 +108,7 @@ def _brute_count(curve, p):
 def test_curve_ap_against_brute_count():
     rng = random.Random(50900)
     for level in LEVELS:
-        curve = CurveModel.from_source(default_sources()[level])
+        curve = CurveModel.from_source(load_newform_data()[level])
         bad = tuple(factorize(abs(curve.disc)))
         assert bad, level
         # good and bad primes alike: curve_ap has one rule for every prime
@@ -160,7 +160,7 @@ def test_hasse_bound():
 def test_eta_agrees_with_point_counts():
     # two fully independent coefficient routes must give the same expansion
     for level in ETA_LEVELS:
-        src = default_sources()[level]
+        src = load_newform_data()[level]
         curve = CurveModel.from_source(src)
         ap = {}
         for p in range(2, 201):
@@ -174,7 +174,7 @@ def test_eta_agrees_with_point_counts():
 def test_eta_agrees_with_curve_route_at_scale():
     # the point-count kernel against the eta expansion on every prime <= 5000
     for level in ETA_LEVELS:
-        curve = CurveModel.from_source(default_sources()[level])
+        curve = CurveModel.from_source(load_newform_data()[level])
         ap = {p: curve_ap(curve, p) for p in range(2, 5001) if is_prime(p)}
         from_curve = extend_multiplicatively(ap, level, 5000)
         assert np.array_equal(from_curve.a, eta_coefficients(level, 5000).a), level
@@ -298,43 +298,3 @@ def test_caveats():
     est = twisted_l_value(-4, newform_coefficients(27, 500))
     assert any("even D" in c for c in est.caveats)
 
-
-def _write_sources(tmp_path, payload):
-    (tmp_path / "newforms.json").write_text(json.dumps(payload))
-    return tmp_path
-
-
-def test_data_loader_roundtrip(tmp_path):
-    path = _write_sources(tmp_path, [
-        {"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": [0, 0, 0, -1, 0]},
-    ])
-    sources = load_newform_data(path)
-    assert sources[32] == NewformSource(32, ((4, 2), (8, 2)), (0, 0, 0, -1, 0))
-
-
-def test_data_loader_rejects_malformed(tmp_path):
-    bad_payloads = [
-        {"level": 32},                                         # not a list
-        [{"level": 32, "eta": None, "weierstrass": None}],     # no source at all
-        [{"level": 0, "eta": [[4, 2]], "weierstrass": None}],  # bad level
-        [{"level": 32, "eta": [[4]], "weierstrass": None}],    # bad eta pair
-        [{"level": 32, "eta": None, "weierstrass": [1, 2]}],   # short model
-        [{"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None, "extra": 1}],
-        [{"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None},
-         {"level": 32, "eta": [[4, 2], [8, 2]], "weierstrass": None}],  # duplicate
-        [{"level": 32, "eta": [[4, 2]], "weierstrass": None}],  # q-shift 8/24
-        [{"level": 32, "eta": [[1, 26], [2, -1]], "weierstrass": None}],  # eta(2z)^-1
-        # JSON booleans are not integers
-        [{"level": True, "eta": [[4, 2], [8, 2]], "weierstrass": None}],
-        [{"level": 32, "eta": [[True, 24]], "weierstrass": None}],
-        [{"level": 32, "eta": None, "weierstrass": [0, 0, 0, False, True]}],
-    ]
-    for payload in bad_payloads:
-        path = _write_sources(tmp_path, payload)
-        with pytest.raises(DataError):
-            load_newform_data(path)
-
-
-def test_data_loader_missing_file(tmp_path):
-    with pytest.raises(DataError):
-        load_newform_data(tmp_path)
