@@ -96,8 +96,7 @@ def divisors(n: int) -> list:
         raise ValueError("divisors expects n >= 1")
     out = [1]
     for p, e in factorize(n).items():
-        powers = [p ** k for k in range(e + 1)]
-        out = [d * pk for d in out for pk in powers]
+        out += [d * p ** k for k in range(1, e + 1) for d in out]
     out.sort()
     return out
 

@@ -23,7 +23,7 @@ from .quadforms import Form, discriminant
 
 
 @lru_cache
-def _prime_discriminants(d0: int) -> tuple:
+def prime_discriminants(d0: int) -> tuple:
     """((p, |p*|, table), ...) over the primes p dividing the fundamental
     discriminant D0, with D0 the product of the p*.  table[r] is (p* | r) for
     r in range(|p*|); as p* is a fundamental discriminant, (p* | a) is a
@@ -41,7 +41,7 @@ def _prime_discriminants(d0: int) -> tuple:
 def genus_character(d0: int, form: Form) -> int:
     """chi_{D0}(Q) as the product over the prime discriminants p* of D0 of
     (p* | a), or (p* | c) when p divides a."""
-    factors = _prime_discriminants(d0)
+    factors = prime_discriminants(d0)
     a, _, c = form
     disc = discriminant(form)
     if disc % d0:

@@ -1,13 +1,14 @@
 """Level registry, exact F sums, goodness predicates, and the derived
 verdicts (vanishing, congruent numbers, parity, sums of two cubes)."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from lcrit.arith import is_fundamental_discriminant, is_square, kronecker
+from lcrit.arith import factorize, is_fundamental_discriminant, is_square, kronecker
 from lcrit.criterion import (
     LEVELS,
     Congruence,
@@ -150,8 +151,13 @@ def test_fevaluation_invariants():
                 assert ev.count == len(enumerate_forms(level, -m * d0, x))
 
 
+def _character_sum_by_forms(level, d0, d, x):
+    forms = enumerate_forms(level, d * d0, x)
+    return sum(genus_character(d0, q) for q in forms), len(forms)
+
+
 def test_f_sum_matches_the_sorted_enumeration():
-    # f_sum streams the forms; the sorted enumeration is the reference
+    # f_sum builds no form; the sorted enumeration is the reference
     # (240 rows: 10 D per level and registry point)
     rng = random.Random(31105)
     for level, row in sorted(LEVELS.items()):
@@ -161,10 +167,56 @@ def test_f_sum_matches_the_sorted_enumeration():
                     d = -rng.randint(3, 20000)
                     if d % 4 in (0, 1) and not is_square(d * row.d0):
                         break
-                forms = enumerate_forms(level, d * row.d0, x)
                 ev = f_sum(level, row.d0, d, x)
-                assert (ev.value, ev.count) == \
-                    (sum(genus_character(row.d0, q) for q in forms), len(forms)), (level, d, x)
+                assert (ev.value, ev.count) == _character_sum_by_forms(level, row.d0, d, x), \
+                    (level, d, x)
+
+
+def test_f_sum_matches_the_enumeration_off_the_registry():
+    # every fundamental D0 with |D0| < 300, three seeded (N, D, x) each:
+    # levels 1-80, x = p/q with |p| <= 12 and q <= 9, x = 0 in a quarter
+    rng = random.Random(31106)
+    seen = {"multi-prime": 0, "even": 0, "gcd(N, D0) > 1": 0, "x = 0": 0}
+    for d0 in (d for d in range(-299, 300) if is_fundamental_discriminant(d)):
+        for _ in range(3):
+            level = rng.randint(1, 80)
+            while True:
+                d = rng.randint(3, 400) * (1 if d0 > 0 else -1)
+                if d % 4 in (0, 1) and not is_square(d * d0):
+                    break
+            x = Fraction(0) if rng.random() < 0.25 else \
+                Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+            ev = f_sum(level, d0, d, x)
+            assert (ev.value, ev.count) == _character_sum_by_forms(level, d0, d, x), \
+                (level, d0, d, x)
+            seen["multi-prime"] += len(factorize(abs(d0))) > 1
+            seen["even"] += d0 % 2 == 0
+            seen["gcd(N, D0) > 1"] += gcd(level, d0) > 1
+            seen["x = 0"] += x == 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_f_sum_at_zero_where_d0_primes_divide_m_to_higher_powers():
+    # at x = 0 every divisor pair of m(t) = (Delta - t^2) / 4N is a form,
+    # and a prime p of D0 with p^2 | m(t) leaves only the divisors holding
+    # all or none of p; these rows have such a t
+    rng = random.Random(31107)
+    rows = 0
+    d0s = (-3, -4, -8, 5, 8, 12, -15, -20, -24, 21, 40, -84, 105, -195)
+    while rows < 60:
+        d0, level = rng.choice(d0s), rng.randint(1, 80)
+        d = rng.randint(3, 3000) * (1 if d0 > 0 else -1)
+        delta = d * d0
+        if d % 4 not in (0, 1) or is_square(delta):
+            continue
+        moduli = [4 * level * p * p for p in factorize(abs(d0))]
+        if not any((delta - t * t) % k == 0 for k in moduli
+                   for t in range(math.isqrt(delta - 1) + 1)):
+            continue
+        ev = f_sum(level, d0, d, 0)
+        assert (ev.value, ev.count) == _character_sum_by_forms(level, d0, d, 0), \
+            (level, d0, d)
+        rows += 1
 
 
 def test_is_good_worked_examples():

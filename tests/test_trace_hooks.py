@@ -4,10 +4,11 @@ from the name the trace wraps."""
 
 import importlib.util
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from lcrit import criterion, oracle
+from lcrit import criterion, oracle, quadforms
 from lcrit.arith import is_prime
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -51,19 +52,31 @@ def test_estimate_goes_through_traced_layers():
         assert stats[name].calls == 1, name
 
 
-def test_f_sum_checks_d0_once_and_reads_one_character_per_form():
-    stats = _traced(lambda: criterion.f_sum(32, -3, -4219, 0))
-    forms = criterion.f_sum(32, -3, -4219, 0).count
-    assert forms > 0
-    assert stats["genus.genus_character"].calls == forms
-    # once in f_sum, at most once more to split D0; never once per form
-    assert stats["arith.is_fundamental_discriminant"].calls <= 2
+def test_f_sum_checks_d0_once_and_builds_no_form():
+    for x in (0, Fraction(1, 3)):
+        stats = _traced(lambda: criterion.f_sum(32, -3, -4219, x))
+        assert criterion.f_sum(32, -3, -4219, x).count > 0
+        # the character comes from the residue tables, never per form
+        assert stats["genus.genus_character"].calls == 0
+        # once in f_sum, at most once more to split D0; never once per form
+        assert stats["arith.is_fundamental_discriminant"].calls <= 2
 
 
-def test_f_sum_factorizes_once_per_admissible_t_up_to_sign():
-    level, delta, x = 32, -4219 * -3, Fraction(1, 3)
-    stats = _traced(lambda: criterion.f_sum(level, -3, -4219, x))
-    cap = delta * x.denominator ** 2
-    admissible = [t for t in range(math.isqrt(cap - 1) + 1) if (cap - t * t) % (4 * level) == 0]
-    assert admissible
-    assert stats["arith.divisors"].calls == len(admissible)
+def test_f_sum_factorizes_once_per_admissible_t_up_to_sign(monkeypatch):
+    level, d0, d = 32, -3, -4219
+
+    def admissible(cap):
+        return [t for t in range(math.isqrt(cap - 1) + 1) if (cap - t * t) % (4 * level) == 0]
+
+    stats = _traced(lambda: criterion.f_sum(level, d0, d, Fraction(1, 3)))
+    assert admissible(d * d0 * 9)
+    assert stats["arith.divisors"].calls == len(admissible(d * d0 * 9))
+    # at x = 0 the closed form needs each factorization, not its divisors
+    calls = Counter()
+    for name in ("factorize", "divisors"):
+        def counted(n, name=name, original=getattr(quadforms, name)):
+            calls[name] += 1
+            return original(n)
+        monkeypatch.setattr(quadforms, name, counted)
+    assert criterion.f_sum(level, d0, d, 0).count > 0
+    assert calls == Counter(factorize=len(admissible(d * d0)))
