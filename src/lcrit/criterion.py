@@ -114,8 +114,7 @@ class FEvaluation:
 def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
     """Character-weighted count over forms of discriminant d*d0 with
     level | a < 0 and positive value at x."""
-    if not is_fundamental_discriminant(d0):
-        raise PreconditionError(f"D0 must be a fundamental discriminant, got {d0}")
+    factors = prime_discriminants(d0)  # checks that D0 is fundamental
     if d == 0 or d * d0 < 0:
         raise PreconditionError(f"D*D0 must be positive, got D={d}, D0={d0}")
     if d % 4 not in (0, 1):
@@ -123,7 +122,7 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
     delta = d * d0
     if is_square(delta):
         raise PreconditionError(f"|D*D0| = {delta} is a perfect square")
-    return FEvaluation(*character_sum(level, delta, x, prime_discriminants(d0)))
+    return FEvaluation(*character_sum(level, delta, x, factors))
 
 
 def is_good(level: int, d: int) -> bool:

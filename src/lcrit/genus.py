@@ -19,7 +19,7 @@ from math import prod
 
 from .arith import factorize, is_fundamental_discriminant, kronecker
 from .errors import PreconditionError
-from .quadforms import Form, discriminant
+from .quadforms import Form, character, discriminant
 
 
 @lru_cache
@@ -39,8 +39,8 @@ def prime_discriminants(d0: int) -> tuple:
 
 
 def genus_character(d0: int, form: Form) -> int:
-    """chi_{D0}(Q) as the product over the prime discriminants p* of D0 of
-    (p* | a), or (p* | c) when p divides a."""
+    """chi_{D0}(Q), as quadforms.character over the prime discriminants of
+    D0, once D0 divides disc(Q) and the quotient is a discriminant."""
     factors = prime_discriminants(d0)
     a, _, c = form
     disc = discriminant(form)
@@ -48,7 +48,4 @@ def genus_character(d0: int, form: Form) -> int:
         raise PreconditionError(f"D0={d0} does not divide disc={disc}")
     if (disc // d0) % 4 not in (0, 1):
         raise PreconditionError(f"disc/D0 = {disc // d0} is not a discriminant")
-    value = 1
-    for p, modulus, table in factors:
-        value *= table[(a if a % p else c) % modulus]
-    return value
+    return character(factors, a, c)

@@ -17,7 +17,6 @@ pairs themselves, building no form, and in closed form at x = 0.
 
 import math
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from .arith import divisors, factorize, is_square
@@ -72,8 +71,16 @@ def _classes(level: int, cap: int):
                 yield t, (cap - t * t) // modulus
 
 
+def character(factors: tuple, a: int, c: int) -> int:
+    """The genus character of a form [a, b, c]: over the prime-discriminant
+    factors (p, |p*|, table) of D0, as in genus.prime_discriminants, the
+    product of (p* | a) = table[a % |p*|], or of (p* | c) when p divides a
+    (see genus)."""
+    return math.prod(table[(a if a % p else c) % modulus] for p, modulus, table in factors)
+
+
 def _pairs(level: int, delta: int, p: int, q: int):
-    """(u, s, c) for each form [-level*u, b, c] of iter_forms at x = p/q.
+    """(u, s, c) for each form [-level*u, b, c] of enumerate_forms at x = p/q.
 
     For each admissible t = b*q + 2*a*p (see _classes) the identity gives
     level*m = (-a) * Q(p, q), so a = -level*u and Q(p, q) = v for a divisor
@@ -96,31 +103,22 @@ def _pairs(level: int, delta: int, p: int, q: int):
                 yield u, -t, (base + p * t) // square
 
 
-def iter_forms(level: int, delta: int, x):
-    """Yield each form [a, b, c] of discriminant delta with level | a, a < 0
-    and Q(p, q) > 0 once, as a plain (a, b, c) tuple, in no particular order
-    (see _pairs)."""
+def enumerate_forms(level: int, delta: int, x) -> tuple:
+    """Each form [a, b, c] of discriminant delta with level | a, a < 0 and
+    Q(p, q) > 0, as a tuple of Form sorted ascending by (a, b, c), so equal
+    sets compare equal (see _pairs)."""
     x = _check_args(level, delta, x)
     p, q = x.numerator, x.denominator
     twice = 2 * level * p
-    for u, s, c in _pairs(level, delta, p, q):
-        yield -level * u, (s + twice * u) // q, c
-
-
-def enumerate_forms(level: int, delta: int, x) -> tuple:
-    """All forms of iter_forms(level, delta, x) as a tuple of Form sorted
-    ascending by (a, b, c), so equal sets compare equal."""
-    return tuple(sorted(map(Form._make, iter_forms(level, delta, x))))
+    return tuple(sorted(Form(-level * u, (s + twice * u) // q, c)
+                        for u, s, c in _pairs(level, delta, p, q)))
 
 
 def character_sum(level: int, delta: int, x, factors: tuple) -> tuple:
-    """(value, count): the sum of the genus character over the forms of
-    iter_forms(level, delta, x), and their number, with no form built.
-
-    factors are the prime-discriminant factors (p, |p*|, table) of D0, as in
-    genus.prime_discriminants: the character of [a, b, c] is the product of
-    table[a % |p*|] when p does not divide a, else table[c % |p*|].  At
-    x = p/q it reads the forms of _pairs; at x = 0 see _sum_at_zero.
+    """(value, count): the sum of character(factors, a, c) over the forms
+    [a, b, c] of enumerate_forms(level, delta, x), and their number, with no
+    form built.  At x = p/q it reads the forms of _pairs through _reads; at
+    x = 0 see _sum_at_zero.
     """
     x = _check_args(level, delta, x)
     p, q = x.numerator, x.denominator
@@ -139,9 +137,9 @@ def character_sum(level: int, delta: int, x, factors: tuple) -> tuple:
 
 
 def _reads(level: int, factors: tuple) -> list:
-    """Per residue of u mod |D0|, the part of the character the leading
-    coefficient a = -level*u fixes, and the (|p*|, table) of the factors
-    read from c instead, those with p | a."""
+    """Per residue of u mod |D0|, character(factors, a, c) at a = -level*u
+    split in two: the product of the factors read from a, and the
+    (|p*|, table) of the factors read from c."""
     span = math.prod(modulus for _, modulus, _ in factors)
     reads = []
     for r in range(span):
@@ -159,19 +157,17 @@ def _reads(level: int, factors: tuple) -> list:
 def _sum_at_zero(level: int, delta: int, factors: tuple) -> tuple:
     """character_sum at x = 0, from factorize(m) alone.
 
-    At x = 0 every divisor pair (u, v) of m(t) gives the form [-level*u,
-    +-t, v].  Write m = prod p_j^k_j * m0 over the primes p_j of D0.  A
-    nonzero character needs, per p_j, either branch "a": u prime to p_j and
-    p_j not dividing level, factor chi_j(-level*u); or branch "c": v prime to
-    p_j, factor chi_j(v).  The part u0 of u dividing m0 contributes
-    chi_D0(u0) in either branch (chi_j(m0/u0) = chi_j(m0)*chi_j(u0)), and the
-    sum of chi_D0 over the divisors of m0 is the product over l^e || m0 of
-    e + 1 when chi_D0(l) = 1, else [e even].  What is left is a sum over
-    branch choices of chi_j(-level*u1) in "a" and chi_j(m0*v1) in "c", where
-    u1 and v1 are the D0-parts of u and v that the choice fixes.
+    At x = 0 every divisor pair (u, m/u) of m(t) gives the form [-level*u,
+    +-t, m/u].  Split m = m0 * (its D0-part, over the primes of D0) and
+    u = u0 * u1 to match.  As u0 is prime to D0, (p* | m0/u0) =
+    (p* | m0)(p* | u0), so the pair's character is
+    chi_D0(u0) * character(factors, -level*u1, m // u1).  The sum of chi_D0
+    over the divisors u0 of m0 is the product over l^e || m0 of e + 1 when
+    chi_D0(l) = 1, else [e even].  A u1 holding some but not all of a prime
+    of D0 puts it in both a and c, where character reads 0.
     """
     span = math.prod(modulus for _, modulus, _ in factors)
-    chi_d0 = [math.prod(table[r % modulus] for _, modulus, table in factors) for r in range(span)]
+    chi_d0 = [character(factors, r, r) for r in range(span)]
     value = count = 0
     for t, m in _classes(level, delta):
         weight = 2 if t else 1
@@ -186,25 +182,9 @@ def _sum_at_zero(level: int, delta: int, factors: tuple) -> tuple:
                 twisted = 0
         count += weight * tau
         if twisted:
-            value += weight * twisted * _branch_sum(level, factors, m, exps)
+            parts = [1]
+            for prime, _, _ in factors:
+                parts = [u * prime ** k for u in parts for k in range(exps.get(prime, 0) + 1)]
+            value += weight * twisted * sum(character(factors, -level * u1, m // u1)
+                                            for u1 in parts)
     return value, count
-
-
-def _branch_sum(level: int, factors: tuple, m: int, exps: dict) -> int:
-    """The sum over branch choices of _sum_at_zero for one m = m0 * D0-part.
-    read_c is False for branch "a", open when p does not divide level, and
-    True for branch "c", open when p divides m or level."""
-    powers = [prime ** exps.get(prime, 0) for prime, _, _ in factors]
-    d0_part = math.prod(powers)
-    m0 = m // d0_part
-    branches = [(False,) * (level % prime != 0) + (True,) * (power > 1 or level % prime == 0)
-                for (prime, _, _), power in zip(factors, powers)]
-    total = 0
-    for choice in product(*branches):
-        u1 = math.prod(power for power, read_c in zip(powers, choice) if read_c)
-        a, c = -level * u1, m0 * (d0_part // u1)
-        term = 1
-        for (_, modulus, table), read_c in zip(factors, choice):
-            term *= table[(c if read_c else a) % modulus]
-        total += term
-    return total

@@ -199,9 +199,11 @@ def test_f_sum_matches_the_enumeration_off_the_registry():
 def test_f_sum_at_zero_where_d0_primes_divide_m_to_higher_powers():
     # at x = 0 every divisor pair of m(t) = (Delta - t^2) / 4N is a form,
     # and a prime p of D0 with p^2 | m(t) leaves only the divisors holding
-    # all or none of p; these rows have such a t
+    # all or none of p; these rows have such a t, and each way a prime p of
+    # D0 can meet N and m(t) comes up in at least 10 of them
     rng = random.Random(31107)
     rows = 0
+    seen = {"p | N, p | m": 0, "p | N, p !| m": 0, "p !| N, p^2 | m": 0}
     d0s = (-3, -4, -8, 5, 8, 12, -15, -20, -24, 21, 40, -84, 105, -195)
     while rows < 60:
         d0, level = rng.choice(d0s), rng.randint(1, 80)
@@ -217,6 +219,13 @@ def test_f_sum_at_zero_where_d0_primes_divide_m_to_higher_powers():
         assert (ev.value, ev.count) == _character_sum_by_forms(level, d0, d, 0), \
             (level, d0, d)
         rows += 1
+        ms = [(delta - t * t) // (4 * level) for t in range(math.isqrt(delta - 1) + 1)
+              if (delta - t * t) % (4 * level) == 0]
+        pairs = [(p, m) for p in factorize(abs(d0)) for m in ms]
+        seen["p | N, p | m"] += any(level % p == 0 and m % p == 0 for p, m in pairs)
+        seen["p | N, p !| m"] += any(level % p == 0 and m % p for p, m in pairs)
+        seen["p !| N, p^2 | m"] += any(level % p and m % (p * p) == 0 for p, m in pairs)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_is_good_worked_examples():

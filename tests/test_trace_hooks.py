@@ -53,13 +53,15 @@ def test_estimate_goes_through_traced_layers():
 
 
 def test_f_sum_checks_d0_once_and_builds_no_form():
+    # warm-up: splitting D0 checks it once and caches the split
+    assert criterion.f_sum(32, -3, -4219, 0).count > 0
     for x in (0, Fraction(1, 3)):
         stats = _traced(lambda: criterion.f_sum(32, -3, -4219, x))
         assert criterion.f_sum(32, -3, -4219, x).count > 0
         # the character comes from the residue tables, never per form
         assert stats["genus.genus_character"].calls == 0
-        # once in f_sum, at most once more to split D0; never once per form
-        assert stats["arith.is_fundamental_discriminant"].calls <= 2
+        # the cached split is f_sum's only check of D0; none per form
+        assert stats["arith.is_fundamental_discriminant"].calls == 0
 
 
 def test_f_sum_factorizes_once_per_admissible_t_up_to_sign(monkeypatch):
