@@ -1,18 +1,19 @@
 """Command-line front end: single checks, parallel discriminant scans,
 regression-table reproduction, and verdict reports.
 
-Exit codes: 0 success, 1 internal error, 2 precondition violation,
-3 mismatch against the frozen reference tables.
+Exit codes: 0 success, 1 internal error, 2 precondition violation or bad
+arguments, 3 mismatch against the frozen reference tables.  Each line is
+flushed as printed: a pipe's reader gets each row when it is ready, and a
+closed pipe fails inside main's guard.
 """
 
+import argparse
 import json
 import os
 import sys
 from contextlib import contextmanager
 from itertools import repeat
 from multiprocessing import Pool
-
-import click
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
@@ -26,7 +27,6 @@ EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
-COUNT = click.IntRange(min=0)
 # most rows per pool task: a chunk reaches the parent only when all its rows
 # are done, so a bounded chunk lets the first row print early
 CHUNK_CAP = 16
@@ -37,81 +37,63 @@ SCAN_FIELDS = ("D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _guarded(body):
-    try:
-        body()
-    except PreconditionError as exc:
-        _fail(EXIT_PRECONDITION, str(exc))
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)
-    except Exception as exc:
-        _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
+def _count(text: str) -> int:
+    """argparse type of a worker count: an int, 0 or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is not in the range x>=0.")
+    return n
 
 
 def _valid_pair(d: int, d0: int) -> bool:
     return d % 4 in (0, 1) and not is_square(d * d0)
 
 
-@click.group()
-def main():
-    """Decide vanishing of twisted central L-values by exact form counts."""
-
-
-@main.command()
-@click.option("--level", type=int, required=True)
-@click.option("--disc", type=int, required=True, help="negative fundamental discriminant D")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--oracle", "with_oracle", is_flag=True,
-              help="cross-check with the truncated L-series estimate")
-@click.option("--dump-forms", is_flag=True)
 def check(level, disc, as_json, with_oracle, dump_forms):
     """Verdict for one discriminant at one level."""
-    def body():
-        row = level_data(level)
-        v = vanishing_verdict(level, disc)
-        forms = [[list(q) for q in enumerate_forms(level, disc * row.d0, x)]
-                 for x in (row.x1, row.x2)] if dump_forms else None
-        est = None
-        if with_oracle:
-            from .oracle import estimate_l_value
-            est = estimate_l_value(level, disc)
-        if as_json:
-            obj = {"level": level, "D": disc, "d0": row.d0,
-                   "x1": str(row.x1), "x2": str(row.x2),
-                   "f_x1": v.f_x1, "f_x2": v.f_x2,
-                   "count_x1": v.count_x1, "count_x2": v.count_x2,
-                   "verdict": v.outcome.value}
-            if v.note:
-                obj["note"] = v.note
-            if dump_forms:
-                obj["forms_x1"], obj["forms_x2"] = forms
-            if est is not None:
-                obj["oracle"] = {"verdict": est.verdict.value, "value": est.value,
-                                 "terms": est.terms_used, "tail_bound": est.tail_bound,
-                                 "caveats": list(est.caveats)}
-            click.echo(json.dumps(obj))
-            return
-        click.echo(f"level {level}  D = {disc}  D0 = {row.d0}  Delta = {disc * row.d0}")
-        click.echo(f"F({row.x1}) = {v.f_x1}   ({v.count_x1} forms)")
-        click.echo(f"F({row.x2}) = {v.f_x2}   ({v.count_x2} forms)")
-        sign = "=" if v.outcome is Vanishing.L_VANISHES else "!="
-        click.echo(f"verdict: L {sign} 0 ({v.outcome.value})")
+    row = level_data(level)
+    v = vanishing_verdict(level, disc)
+    forms = [[list(q) for q in enumerate_forms(level, disc * row.d0, x)]
+             for x in (row.x1, row.x2)] if dump_forms else None
+    est = None
+    if with_oracle:
+        from .oracle import estimate_l_value
+        est = estimate_l_value(level, disc)
+    if as_json:
+        obj = {"level": level, "D": disc, "d0": row.d0,
+               "x1": str(row.x1), "x2": str(row.x2),
+               "f_x1": v.f_x1, "f_x2": v.f_x2,
+               "count_x1": v.count_x1, "count_x2": v.count_x2,
+               "verdict": v.outcome.value}
         if v.note:
-            click.echo(f"note: {v.note}")
+            obj["note"] = v.note
         if dump_forms:
-            click.echo(f"forms at {row.x1}: {forms[0]}")
-            click.echo(f"forms at {row.x2}: {forms[1]}")
+            obj["forms_x1"], obj["forms_x2"] = forms
         if est is not None:
-            click.echo(f"oracle: {est.verdict.value}  value = {est.value:.6g}  "
-                       f"tail <= {est.tail_bound:.2e}  ({est.terms_used} terms)")
-            for c in est.caveats:
-                click.echo(f"oracle caveat: {c}")
-    _guarded(body)
+            obj["oracle"] = {"verdict": est.verdict.value, "value": est.value,
+                             "terms": est.terms_used, "tail_bound": est.tail_bound,
+                             "caveats": list(est.caveats)}
+        print(json.dumps(obj), flush=True)
+        return
+    print(f"level {level}  D = {disc}  D0 = {row.d0}  Delta = {disc * row.d0}", flush=True)
+    print(f"F({row.x1}) = {v.f_x1}   ({v.count_x1} forms)", flush=True)
+    print(f"F({row.x2}) = {v.f_x2}   ({v.count_x2} forms)", flush=True)
+    sign = "=" if v.outcome is Vanishing.L_VANISHES else "!="
+    print(f"verdict: L {sign} 0 ({v.outcome.value})", flush=True)
+    if v.note:
+        print(f"note: {v.note}", flush=True)
+    if dump_forms:
+        print(f"forms at {row.x1}: {forms[0]}", flush=True)
+        print(f"forms at {row.x2}: {forms[1]}", flush=True)
+    if est is not None:
+        print(f"oracle: {est.verdict.value}  value = {est.value:.6g}  "
+              f"tail <= {est.tail_bound:.2e}  ({est.terms_used} terms)", flush=True)
+        for c in est.caveats:
+            print(f"oracle caveat: {c}", flush=True)
 
 
 def _scan_row(job):
@@ -136,43 +118,32 @@ def _scan_rows(jobs, parallel, chunk=None):
         yield map(_scan_row, jobs)
 
 
-@main.command()
-@click.option("--level", type=int, required=True)
-@click.option("--from", "from_d", type=int, required=True, help="start D (closer to zero)")
-@click.option("--to", "to_d", type=int, required=True, help="end D (inclusive)")
-@click.option("--good-only", is_flag=True,
-              help="only fundamental D passing the level's registry condition")
-@click.option("--parallel", type=COUNT, default=0, help="worker count (default: all cores)")
-@click.option("--json", "as_json", is_flag=True, help="NDJSON rows instead of CSV")
-@click.option("--oracle", "with_oracle", is_flag=True)
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
     """Scan discriminants from --from down to --to, one row per valid D."""
-    def body():
-        row = level_data(level)
-        if from_d >= 0 or to_d >= 0 or from_d < to_d:
-            raise PreconditionError(
-                f"need 0 > from >= to (scan descends), got from={from_d} to={to_d}")
-        ds = [d for d in range(from_d, to_d - 1, -1) if _valid_pair(d, row.d0)]
-        if good_only:
-            ds = table_condition_filter(level, ds)
-        elif with_oracle:
-            for d in ds:
-                if not is_fundamental_discriminant(d):
-                    raise PreconditionError(f"--oracle needs fundamental D; D = {d} "
-                                            "is not one (--good-only skips it)")
-        accepted = [(level, d) for d in ds]
-        if not as_json:
-            fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
-            print(",".join(fields), flush=True)
-        with _scan_rows(accepted, parallel) as rows:
-            # imported and built after the pool has forked, while the
-            # workers compute rows: they neither map numpy nor wait for it
-            estimates = None
-            if with_oracle:
-                from .oracle import estimate_l_values
-                estimates = estimate_l_values(level, [d for _, d in accepted])
-            _emit_scan(rows, estimates, as_json)
-    _guarded(body)
+    row = level_data(level)
+    if from_d >= 0 or to_d >= 0 or from_d < to_d:
+        raise PreconditionError(
+            f"need 0 > from >= to (scan descends), got from={from_d} to={to_d}")
+    ds = [d for d in range(from_d, to_d - 1, -1) if _valid_pair(d, row.d0)]
+    if good_only:
+        ds = table_condition_filter(level, ds)
+    elif with_oracle:
+        for d in ds:
+            if not is_fundamental_discriminant(d):
+                raise PreconditionError(f"--oracle needs fundamental D; D = {d} "
+                                        "is not one (--good-only skips it)")
+    accepted = [(level, d) for d in ds]
+    if not as_json:
+        fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
+        print(",".join(fields), flush=True)
+    with _scan_rows(accepted, parallel) as rows:
+        # imported and built after the pool has forked, while the
+        # workers compute rows: they neither map numpy nor wait for it
+        estimates = None
+        if with_oracle:
+            from .oracle import estimate_l_values
+            estimates = estimate_l_values(level, [d for _, d in accepted])
+        _emit_scan(rows, estimates, as_json)
 
 
 def _emit_scan(rows, estimates, as_json):
@@ -190,26 +161,20 @@ def _emit_scan(rows, estimates, as_json):
         print(line, flush=True)
 
 
-@main.command()
-@click.argument("name", type=click.Choice(["maincor", "primes", "cubes", "discs"]))
-@click.option("--parallel", type=COUNT, default=0,
-              help="worker count (default: all cores); ignored by discs, which runs in one process")
 def table(name, parallel):
     """Recompute a built-in reference table and compare against frozen values."""
-    def body():
-        if name == "discs":
-            _table_discs()
-        else:
-            _table_values(name, parallel)
-    _guarded(body)
+    if name == "discs":
+        _table_discs()
+    else:
+        _table_values(name, parallel)
 
 
 def _table_values(name, parallel):
     level = reference.TABLE_LEVEL[name]
     row = level_data(level)
     expected = reference.rows_for(name)
-    click.echo(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})")
-    click.echo(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status")
+    print(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})", flush=True)
+    print(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status", flush=True)
     with _scan_rows([(level, d) for d, _, _, _ in expected], parallel, chunk=1) as rows:
         computed = list(rows)
     mismatches = 0
@@ -219,15 +184,15 @@ def _table_values(name, parallel):
         if not ok:
             mismatches += 1
         suffix = f"  [{verdict}]" if verdict else ""
-        click.echo(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}")
+        print(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}", flush=True)
     if mismatches:
         _fail(EXIT_MISMATCH, f"table {name}: {mismatches} row(s) differ from frozen values")
-    click.echo(f"all {len(computed)} rows match")
+    print(f"all {len(computed)} rows match", flush=True)
 
 
 def _table_discs():
-    click.echo("level registry and non-invariance lists "
-               "(* = listed good fundamental entry)")
+    print("level registry and non-invariance lists "
+          "(* = listed good fundamental entry)", flush=True)
     mismatches = 0
     for level in sorted(LEVELS):
         row = LEVELS[level]
@@ -242,48 +207,97 @@ def _table_discs():
         missing = [m for m in listed_valid if m not in recomputed]
         extra = [m for m in recomputed if m not in listed_valid]
         mark = lambda m: f"{m}*" if m in row.underlined_m else str(m)
-        click.echo(f"level {level:>2}  D0 = {row.d0:>3}  x = ({row.x1}, {row.x2})  "
-                   f"condition: {row.condition}")
-        click.echo(f"  listed:     {' '.join(mark(m) for m in row.noninvariant_m)}")
-        click.echo(f"  recomputed: {' '.join(str(m) for m in recomputed)}")
+        print(f"level {level:>2}  D0 = {row.d0:>3}  x = ({row.x1}, {row.x2})  "
+              f"condition: {row.condition}", flush=True)
+        print(f"  listed:     {' '.join(mark(m) for m in row.noninvariant_m)}", flush=True)
+        print(f"  recomputed: {' '.join(str(m) for m in recomputed)}", flush=True)
         if skipped:
-            click.echo(f"  skipped (square |D*D0| or non-discriminant): "
-                       f"{' '.join(str(m) for m in skipped)}")
+            print(f"  skipped (square |D*D0| or non-discriminant): "
+                  f"{' '.join(str(m) for m in skipped)}", flush=True)
         if missing:
             mismatches += len(missing)
-            click.echo(f"  MISMATCH: listed but computed invariant: "
-                       f"{' '.join(str(m) for m in missing)}")
+            print(f"  MISMATCH: listed but computed invariant: "
+                  f"{' '.join(str(m) for m in missing)}", flush=True)
         if extra:
-            click.echo(f"  note: unlisted non-invariant m: "
-                       f"{' '.join(str(m) for m in extra)}")
+            print(f"  note: unlisted non-invariant m: "
+                  f"{' '.join(str(m) for m in extra)}", flush=True)
     if mismatches:
         _fail(EXIT_MISMATCH, f"table discs: {mismatches} listed value(s) not reproduced")
-    click.echo("all listed non-invariant values reproduced")
+    print("all listed non-invariant values reproduced", flush=True)
 
 
 def _echo_verdict(v):
     b = v.basis
     row = level_data(b.level)
     sign = "=" if b.outcome is Vanishing.L_VANISHES else "!="
-    click.echo(f"n = {v.n}: {v.outcome.value}")
-    click.echo(f"basis: level {b.level}, D = {b.d}, F({row.x1}) = {b.f_x1}, "
-               f"F({row.x2}) = {b.f_x2} -> L {sign} 0")
+    print(f"n = {v.n}: {v.outcome.value}", flush=True)
+    print(f"basis: level {b.level}, D = {b.d}, F({row.x1}) = {b.f_x1}, "
+          f"F({row.x2}) = {b.f_x2} -> L {sign} 0", flush=True)
     if b.note:
-        click.echo(f"note: {b.note}")
+        print(f"note: {b.note}", flush=True)
 
 
-@main.command()
-@click.argument("n", type=int)
 def congruent(n):
     """Congruent-number verdict for n = 3 (mod 8)."""
-    _guarded(lambda: _echo_verdict(criterion.congruent_verdict(n)))
+    _echo_verdict(criterion.congruent_verdict(n))
 
 
-@main.command()
-@click.argument("n", type=int)
 def cubes(n):
     """Finiteness verdict for rational points on x^3 + n*y^2 = 432."""
-    _guarded(lambda: _echo_verdict(criterion.cubes_verdict(n)))
+    _echo_verdict(criterion.cubes_verdict(n))
+
+
+def parser() -> argparse.ArgumentParser:
+    """The `lcrit` parser: one subcommand per command function, whose
+    docstring is its help; the parsed options are its keyword arguments."""
+    top = argparse.ArgumentParser(prog="lcrit", description=main.__doc__, allow_abbrev=False)
+    commands = top.add_subparsers(dest="command", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    arg = command(check)
+    arg("--level", type=int, required=True)
+    arg("--disc", type=int, required=True, help="negative fundamental discriminant D")
+    arg("--json", dest="as_json", action="store_true")
+    arg("--oracle", dest="with_oracle", action="store_true",
+        help="cross-check with the truncated L-series estimate")
+    arg("--dump-forms", action="store_true")
+    arg = command(scan)
+    arg("--level", type=int, required=True)
+    arg("--from", dest="from_d", type=int, required=True, help="start D (closer to zero)")
+    arg("--to", dest="to_d", type=int, required=True, help="end D (inclusive)")
+    arg("--good-only", action="store_true",
+        help="only fundamental D passing the level's registry condition")
+    arg("--parallel", type=_count, default=0, help="worker count (default: all cores)")
+    arg("--json", dest="as_json", action="store_true", help="NDJSON rows instead of CSV")
+    arg("--oracle", dest="with_oracle", action="store_true")
+    arg = command(table)
+    arg("name", choices=["maincor", "primes", "cubes", "discs"])
+    arg("--parallel", type=_count, default=0,
+        help="worker count (default: all cores); ignored by discs, which runs in one process")
+    for run in (congruent, cubes):
+        command(run)("n", type=int)
+    return top
+
+
+def main(argv=None):
+    """Decide vanishing of twisted central L-values by exact form counts."""
+    args = vars(parser().parse_args(argv))
+    run = args.pop("run")
+    del args["command"]
+    try:
+        run(**args)
+    except PreconditionError as exc:
+        _fail(EXIT_PRECONDITION, str(exc))
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
+    except Exception as exc:
+        _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

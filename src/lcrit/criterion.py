@@ -115,14 +115,10 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
     """Character-weighted count over forms of discriminant d*d0 with
     level | a < 0 and positive value at x."""
     factors = prime_discriminants(d0)  # checks that D0 is fundamental
-    if d == 0 or d * d0 < 0:
-        raise PreconditionError(f"D*D0 must be positive, got D={d}, D0={d0}")
-    if d % 4 not in (0, 1):
+    if d % 4 not in (0, 1):  # D*D0 can be one when D is not: -6 * -4 = 24
         raise PreconditionError(f"D must be a discriminant (0 or 1 mod 4), got {d}")
-    delta = d * d0
-    if is_square(delta):
-        raise PreconditionError(f"|D*D0| = {delta} is a perfect square")
-    return FEvaluation(*character_sum(level, delta, x, factors))
+    # character_sum rejects D*D0 <= 0 and square D*D0
+    return FEvaluation(*character_sum(level, d * d0, x, factors))
 
 
 def is_good(level: int, d: int) -> bool:

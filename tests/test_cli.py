@@ -1,24 +1,26 @@
-"""Command-line interface: exit codes (a closed stdout and an unexpected
-error included), CSV/JSON schemas, scan determinism across worker counts,
-pool chunk sizes, oracle columns, reference-table comparison, numpy loaded
-only by the oracle, and README naming every option and no other."""
+"""Command-line interface: exit codes (a closed stdout, refused arguments
+and an unexpected error included), CSV/JSON schemas, scan determinism across
+worker counts, pool chunk sizes, oracle columns, reference-table comparison,
+no module loaded from outside the standard library but numpy, and that only
+by the oracle, and README naming every option and no other."""
 
+import argparse
+import io
 import json
 import multiprocessing.pool
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import lcrit
 from lcrit import cli, oracle, reference
 from lcrit.arith import is_fundamental_discriminant
-from lcrit.cli import main
 from lcrit.criterion import LEVELS, table_condition
 from lcrit.oracle import estimate_l_value
 
@@ -40,7 +42,17 @@ if __name__ == "__main__":
 
 
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run `lcrit args` in this process: its exit code, stdout, stderr, and
+    output (stdout then stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue())
 
 
 def test_check_reports_both_sums():
@@ -67,6 +79,9 @@ def test_check_precondition_exit_code():
     assert r.exit_code == 2
     r = invoke("check", "--level", "13", "--disc", "-11")
     assert r.exit_code == 2
+    # refused by the parser: --disc missing, an unknown option
+    assert invoke("check", "--level", "32").exit_code == 2
+    assert invoke("check", "--level", "32", "--disc", "-11", "--bogus").exit_code == 2
 
 
 def test_check_json_with_forms():
@@ -239,6 +254,9 @@ def test_scan_range_validation():
                   "--parallel", "1").exit_code == 2
     assert invoke("scan", "--level", "13", "--from", "-3", "--to", "-50",
                   "--parallel", "1").exit_code == 2
+    # an abbreviated option is refused, not run as --good-only
+    assert invoke("scan", "--level", "32", "--from", "-3", "--to", "-20",
+                  "--good").exit_code == 2
 
 
 def test_scan_oracle_needs_fundamental_d():
@@ -252,16 +270,20 @@ def test_scan_oracle_needs_fundamental_d():
 
 def test_closed_stdout_exits_quietly(tmp_path):
     # a reader that stops early (`lcrit scan ... | head`) is not an error
-    for parallel in ("1", "2"):
+    scan = ("scan", "--level", "32", "--from", "-3", "--to", "-3000", "--good-only")
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered by default
+    for args in ((*scan, "--parallel", "1"), (*scan, "--parallel", "2"),
+                 ("check", "--level", "32", "--disc", "-219"),
+                 ("table", "maincor", "--parallel", "2"), ("congruent", "219")):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "lcrit.cli", "scan", "--level", "32", "--from", "-3",
-             "--to", "-3000", "--good-only", "--parallel", parallel],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path)
-        proc.stdout.close()  # the child has not started: its first write, the header, fails
+            [sys.executable, "-m", "lcrit.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+        proc.stdout.close()  # the child has not started: its first write fails
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0, err
-        assert err == b"", parallel
+        assert err == b"", args
 
 
 def test_unexpected_error_exits_internal(monkeypatch):
@@ -306,6 +328,7 @@ def test_table_mismatch_exit_code(monkeypatch):
     r = invoke("table", "maincor", "--parallel", "1")
     assert r.exit_code == 3
     assert "MISMATCH" in r.output
+    assert invoke("table", "bogus").exit_code == 2  # not a table name
 
 
 def test_congruent_command():
@@ -338,11 +361,11 @@ def _readme_options():
 
 
 def _cli_options():
-    """Every option of the `lcrit` group and of its commands, --help included."""
-    return {opt for command in (main, *main.commands.values())
-            for param in command.get_params(click.Context(command))
-            if isinstance(param, click.Option)
-            for opt in (*param.opts, *param.secondary_opts)}
+    """Every option of the `lcrit` parser and of its commands, -h/--help left out."""
+    top = cli.parser()
+    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for parser in (top, *commands.choices.values()) for action in parser._actions
+            for opt in action.option_strings if opt not in ("-h", "--help")}
 
 
 def test_readme_options_exist():
@@ -353,7 +376,7 @@ def test_readme_options_exist():
 
 
 def test_cli_options_are_documented():
-    undocumented = _cli_options() - {"--help"} - _readme_options()
+    undocumented = _cli_options() - _readme_options()
     assert not undocumented, sorted(undocumented)
 
 
@@ -405,22 +428,27 @@ def test_console_script_help(tmp_path):
     script.write_text(CONSOLE_SCRIPT.format(module=module, attr=attr))
     proc = run_python([str(script), "--help"], tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert any(line.startswith("Usage: lcrit ") for line in lines)
-    commands = {line.split()[0]
-                for line in lines[lines.index("Commands:") + 1:] if line.strip()}
-    assert {"scan", "table"} <= commands
+    assert proc.stdout.startswith("usage: lcrit ")
+    # argparse lists each command, indented four spaces, with its help
+    commands = set(re.findall(r"^    (\w+) ", proc.stdout, flags=re.M))
+    assert commands == {"check", "scan", "table", "congruent", "cubes"}
 
 
-# Runs in a fresh interpreter and reports on stderr, after each step, whether
-# numpy has been loaded.  `main` runs with standalone_mode=False, so it returns
-# instead of exiting.  Pool workers run `_scan_row` through a spy that fails
-# the row if numpy is mapped in the worker.
+# Runs in a fresh interpreter and reports on stderr, after each step, the
+# top-level modules loaded since startup that are neither the standard
+# library's nor lcrit (multiprocessing's `__mp_main__` alias left out).
+# `--help` exits 0.  Pool workers run `_scan_row` through a spy that fails the
+# row if numpy is mapped in the worker.
 NUMPY_PROBE = """\
+import json
 import sys
 
+startup = set(sys.modules)
+
 def report(step):
-    print("numpy-loaded", step, "numpy" in sys.modules, file=sys.stderr, flush=True)
+    new = {{name.partition(".")[0] for name in set(sys.modules) - startup}}
+    foreign = new - set(sys.stdlib_module_names) - {{"lcrit", "__mp_main__"}}
+    print("loaded", json.dumps([step, sorted(foreign)]), file=sys.stderr, flush=True)
 
 import lcrit
 report("import lcrit")
@@ -435,21 +463,22 @@ def worker_row(job):
 
 scan_row, cli._scan_row = cli._scan_row, worker_row
 for args in {runs!r}:
-    assert cli.main(args, standalone_mode=False) in (None, 0), args
+    try:
+        cli.main(args)
+    except SystemExit as exc:
+        assert exc.code == 0, args
     report(" ".join(args))
 """
 
 
 def _numpy_probe(tmp_path, *runs):
-    """(stdout, {step: numpy loaded after it}) of NUMPY_PROBE over the runs."""
+    """(stdout, {step: modules outside the standard library and lcrit loaded
+    by the end of it}) of NUMPY_PROBE over the runs."""
     proc = run_python(["-c", NUMPY_PROBE.format(runs=[list(r) for r in runs])],
                       tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = {}
-    for line in proc.stderr.splitlines():
-        if line.startswith("numpy-loaded "):
-            step, _, loaded = line[len("numpy-loaded "):].rpartition(" ")
-            steps[step] = loaded == "True"
+    steps = dict(json.loads(line[len("loaded "):]) for line in proc.stderr.splitlines()
+                 if line.startswith("loaded "))
     return proc.stdout, steps
 
 
@@ -462,13 +491,13 @@ def test_startup_and_exact_paths_load_no_numpy(tmp_path):
     out, steps = _numpy_probe(tmp_path, *runs)
     assert "D,f_x1,f_x2,count_x1,count_x2,verdict" in out
     assert list(steps) == ["import lcrit", "import lcrit.cli", *(" ".join(r) for r in runs)]
-    assert not any(steps.values()), steps
+    assert not any(steps.values()), steps  # numpy, click or any other
 
 
 def test_oracle_paths_load_numpy_and_match_the_library(tmp_path):
     out, steps = _numpy_probe(tmp_path, ("check", "--level", "32", "--disc", "-219",
                                          "--oracle", "--json"))
-    assert steps.pop("check --level 32 --disc -219 --oracle --json")
+    assert steps.pop("check --level 32 --disc -219 --oracle --json") == ["numpy"]
     assert not any(steps.values()), steps
     est = estimate_l_value(32, -219)
     assert json.loads(out)["oracle"]["value"] == est.value
@@ -476,7 +505,7 @@ def test_oracle_paths_load_numpy_and_match_the_library(tmp_path):
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
             "--oracle", "--parallel", "2")
     out, steps = _numpy_probe(tmp_path, scan)
-    assert steps.pop(" ".join(scan))
+    assert steps.pop(" ".join(scan)) == ["numpy"]
     assert not any(steps.values()), steps
     lines = out.splitlines()
     assert len(lines) > 2
