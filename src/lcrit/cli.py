@@ -8,12 +8,11 @@ closed pipe fails inside main's guard.
 """
 
 import argparse
-import json
 import os
+import signal
 import sys
 from contextlib import contextmanager
 from itertools import repeat
-from multiprocessing import Pool
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
@@ -21,15 +20,13 @@ from .criterion import (LEVELS, Vanishing, compare, enumerate_forms, level_data,
                         table_condition_filter, vanishing_verdict)
 from .errors import PreconditionError
 
-# lcrit.oracle, the one module that loads numpy, is imported only under --oracle
+# lcrit.oracle, the one module that loads numpy, is imported only under --oracle,
+# and json only under --json
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
-# most rows per pool task: a chunk reaches the parent only when all its rows
-# are done, so a bounded chunk lets the first row print early
-CHUNK_CAP = 16
 # a scan row's columns in order: the CSV header, and the keys of each row dict
 # and NDJSON line; the last two, the oracle's, only under --oracle
 SCAN_FIELDS = ("D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
@@ -64,6 +61,7 @@ def check(level, disc, as_json, with_oracle, dump_forms):
         from .oracle import estimate_l_value
         est = estimate_l_value(level, disc)
     if as_json:
+        import json
         obj = {"level": level, "D": disc, "d0": row.d0,
                "x1": str(row.x1), "x2": str(row.x2),
                "f_x1": v.f_x1, "f_x2": v.f_x2,
@@ -104,18 +102,57 @@ def _scan_row(job):
 
 
 @contextmanager
-def _scan_rows(jobs, parallel, chunk=None):
-    """Scan rows for (level, D) jobs in order, from a pool of `parallel` workers
-    (0: all cores) when that is more than one; chunk None means about four
-    chunks per worker, at most CHUNK_CAP rows each.  Leaving the block stops
-    the pool."""
-    workers = parallel if parallel > 0 else (os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with Pool(workers) as pool:
-            chunk = chunk or min(CHUNK_CAP, max(1, len(jobs) // (4 * workers)))
-            yield pool.imap(_scan_row, jobs, chunksize=chunk)
-    else:
-        yield map(_scan_row, jobs)
+def _scan_rows(jobs, parallel):
+    """Scan rows for (level, D) jobs in order from W = min(parallel, len(jobs))
+    processes (parallel 0: all cores; one where os.fork is missing).  This
+    process computes jobs[0::W] and forks W - 1 children, child k streaming
+    jobs[k::W] down a pipe.  Leaving the block kills and reaps every child."""
+    workers = min(parallel or os.cpu_count() or 1, len(jobs)) if hasattr(os, "fork") else 1
+    children, pipes = [], []
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _scan_child(jobs[k::workers], write_end, [*(p.fileno() for p in pipes), read_end])
+            os.close(write_end)
+            children.append(pid)
+            pipes.append(os.fdopen(read_end, "rb"))
+        yield _merge_rows(jobs, workers, pipes)
+    finally:
+        for p in pipes:
+            p.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)  # an exited child stays a zombie until reaped
+            os.waitpid(pid, 0)
+
+
+def _scan_child(jobs, write_end, read_ends):
+    """A forked worker: each row as one line of the exact columns, flushed
+    when done; it exits at its next write once the parent is gone."""
+    try:
+        for fd in read_ends:
+            os.close(fd)
+        with os.fdopen(write_end, "wb") as out:
+            for job in jobs:
+                out.write(",".join(map(str, _scan_row(job).values())).encode() + b"\n")
+                out.flush()
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
+
+
+def _merge_rows(jobs, workers, pipes):
+    """Row i computed here when i % workers is 0, else read from that child."""
+    for i, job in enumerate(jobs):
+        if i % workers == 0:
+            yield _scan_row(job)
+        else:
+            line = pipes[i % workers - 1].readline()
+            if not line:
+                raise RuntimeError(f"scan worker {i % workers} ended before row {i}")
+            *counts, verdict = line.decode().rstrip("\n").split(",")
+            yield dict(zip(SCAN_FIELDS, (*map(int, counts), verdict)))
 
 
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
@@ -137,8 +174,8 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
         fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
         print(",".join(fields), flush=True)
     with _scan_rows(accepted, parallel) as rows:
-        # imported and built after the pool has forked, while the
-        # workers compute rows: they neither map numpy nor wait for it
+        # imported and built after the workers have forked, while they
+        # compute rows: they neither map numpy nor wait for it
         estimates = None
         if with_oracle:
             from .oracle import estimate_l_values
@@ -148,9 +185,11 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
 
 def _emit_scan(rows, estimates, as_json):
     """Print the rows in order, with one oracle estimate each unless
-    `estimates` is None.  The estimate is drawn before its row, so the
-    parent builds the coefficient series while the workers compute rows."""
+    `estimates` is None.  The estimate is drawn before its row, so this
+    process builds the coefficient series while the children compute rows."""
     with_oracle = estimates is not None
+    if as_json:
+        import json
     for est, r in zip(estimates if with_oracle else repeat(None), rows):
         if with_oracle:
             r.update(zip(SCAN_FIELDS[-2:], (est.verdict.value, est.value)))
@@ -175,14 +214,13 @@ def _table_values(name, parallel):
     expected = reference.rows_for(name)
     print(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})", flush=True)
     print(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status", flush=True)
-    with _scan_rows([(level, d) for d, _, _, _ in expected], parallel, chunk=1) as rows:
+    with _scan_rows([(level, d) for d, _, _, _ in expected], parallel) as rows:
         computed = list(rows)
     mismatches = 0
     for (d, f1, f2, verdict), got in zip(expected, computed):
         ok = (got["f_x1"], got["f_x2"]) == (f1, f2)
         status = "ok" if ok else f"MISMATCH (expected {f1}, {f2})"
-        if not ok:
-            mismatches += 1
+        mismatches += not ok
         suffix = f"  [{verdict}]" if verdict else ""
         print(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}", flush=True)
     if mismatches:
@@ -196,12 +234,8 @@ def _table_discs():
     mismatches = 0
     for level in sorted(LEVELS):
         row = LEVELS[level]
-        recomputed = []
-        for m in range(3, max(row.noninvariant_m) + 1):
-            if not _valid_pair(-m, row.d0):
-                continue
-            if compare(level, -m).outcome is Vanishing.L_NONZERO:
-                recomputed.append(m)
+        recomputed = [m for m in range(3, max(row.noninvariant_m) + 1) if _valid_pair(-m, row.d0)
+                      and compare(level, -m).outcome is Vanishing.L_NONZERO]
         listed_valid = [m for m in row.noninvariant_m if _valid_pair(-m, row.d0)]
         skipped = [m for m in row.noninvariant_m if m not in listed_valid]
         missing = [m for m in listed_valid if m not in recomputed]

@@ -11,10 +11,10 @@ agree at x1 and x2.  Everything here is exact integer arithmetic.
 """
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import factorize, is_fundamental_discriminant, is_prime, is_square, kronecker
 from .errors import PreconditionError
@@ -23,8 +23,7 @@ from .errors import PreconditionError
 from .genus import genus_character, prime_discriminants
 from .quadforms import character_sum, enumerate_forms
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     """Registry row for one dimension-one level.
 
     condition is printed and evaluated (table_condition); noninvariant_m
@@ -103,8 +102,7 @@ def level_data(level: int) -> LevelData:
             f"level {level} is not a dimension-one level {tuple(LEVELS)}")
 
 
-@dataclass(frozen=True)
-class FEvaluation:
+class FEvaluation(NamedTuple):
     """One exact sum F(x): integer value and the size of the underlying set."""
 
     value: int
@@ -179,8 +177,7 @@ class Vanishing(Enum):
     L_NONZERO = "nonzero"
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
+class VanishingVerdict(NamedTuple):
     level: int
     d: int
     outcome: Vanishing
@@ -216,7 +213,7 @@ def vanishing_verdict(level: int, d: int) -> VanishingVerdict:
                 "the odd-discriminant goodness rules do not cover it")
     elif gcd(-d, level) > 1:
         note = f"gcd(|D|, N) = {gcd(-d, level)} > 1: criterion applied outside the coprime case"
-    return replace(compare(level, d), note=note)
+    return compare(level, d)._replace(note=note)
 
 
 class Congruence(Enum):
@@ -229,8 +226,7 @@ class Cubes(Enum):
     INFINITE_ASSUMING_BSD = "infinitely many rational points assuming BSD"
 
 
-@dataclass(frozen=True)
-class DerivedVerdict:
+class DerivedVerdict(NamedTuple):
     """A verdict about n read off the vanishing verdict at D = -n."""
 
     n: int
@@ -258,8 +254,7 @@ def cubes_verdict(n: int) -> DerivedVerdict:
     return _derived(27, n, Cubes.FINITE_PROVEN, Cubes.INFINITE_ASSUMING_BSD)
 
 
-@dataclass(frozen=True)
-class ParityResult:
+class ParityResult(NamedTuple):
     p: int
     count: int
     proven_noncongruent: bool

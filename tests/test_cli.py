@@ -1,17 +1,20 @@
 """Command-line interface: exit codes (a closed stdout, refused arguments
 and an unexpected error included), CSV/JSON schemas, scan determinism across
-worker counts, pool chunk sizes, oracle columns, reference-table comparison,
-no module loaded from outside the standard library but numpy, and that only
-by the oracle, and README naming every option and no other."""
+worker counts, the parent's share of the rows and no child outliving a scan,
+oracle columns, reference-table comparison, no module loaded from outside the
+standard library but numpy, and that only by the oracle, no multiprocessing,
+dataclasses or json on the exact paths, and README naming every option and no
+other."""
 
 import argparse
+import ast
 import io
 import json
-import multiprocessing.pool
 import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -167,30 +170,89 @@ def test_scan_deterministic_across_workers():
         parallel = invoke(*window, "--parallel", "8")
         assert serial.exit_code == 0 and parallel.exit_code == 0, extra
         assert serial.output == parallel.output, extra
+    # tables at three workers, and a two-row scan asking for three and eight
+    few = ("scan", "--level", "32", "--from", "-3", "--to", "-20", "--good-only")
+    for args, counts in ((("table", "primes"), ("3",)), (("table", "cubes"), ("3",)),
+                         (few, ("3", "8"))):
+        serial = invoke(*args, "--parallel", "1")
+        assert serial.exit_code == 0, args
+        for n in counts:
+            assert invoke(*args, "--parallel", n).output == serial.output, (args, n)
+    assert len(serial.output.splitlines()) - 1 == 2
 
 
-def test_scan_chunks_stay_small(monkeypatch):
-    # a pool task returns only when all its rows are done, so a bounded
-    # chunk lets the first row of a long scan print early
-    sizes = []
-    imap = multiprocessing.pool.Pool.imap
+def _scan_ds(output):
+    return [int(line.split(",")[0]) for line in output.splitlines()[1:]]
 
-    def spy(self, func, iterable, chunksize=1):
-        sizes.append(chunksize)
-        return imap(self, func, iterable, chunksize)
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
-    window = ("scan", "--level", "32", "--from", "-3", "--to", "-3000", "--good-only")
-    serial = invoke(*window, "--parallel", "1")
-    assert serial.exit_code == 0 and sizes == []
-    rows = len(serial.output.splitlines()) - 1
-    assert rows // (4 * 2) > cli.CHUNK_CAP  # about four chunks per worker would exceed it
-    parallel = invoke(*window, "--parallel", "2")
-    assert parallel.exit_code == 0
-    assert parallel.output == serial.output
-    assert len(sizes) == 1 and 1 <= sizes[0] <= cli.CHUNK_CAP
-    # tables keep one row per task
-    assert invoke("table", "cubes", "--parallel", "2").exit_code == 0
-    assert sizes[1:] == [1]
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+WINDOW = ("scan", "--level", "32", "--from", "-3", "--to", "-400", "--good-only")
+
+
+def test_parent_computes_its_stride(monkeypatch):
+    # the printing process is worker 0: of W workers it computes rows 0, W,
+    # 2W, ... and reads the others from its children, whose spy records stay
+    # in the child
+    seen = []
+    scan_row = cli._scan_row
+
+    def spy(job):
+        seen.append(job[1])
+        return scan_row(job)
+    monkeypatch.setattr(cli, "_scan_row", spy)
+    serial = invoke(*WINDOW, "--parallel", "1")
+    ds = _scan_ds(serial.stdout)
+    assert serial.exit_code == 0 and seen == ds and len(ds) > 6
+    for workers in (2, 3):
+        seen.clear()
+        r = invoke(*WINDOW, "--parallel", str(workers))
+        assert r.exit_code == 0 and r.output == serial.output, workers
+        assert seen == ds[0::workers], workers
+
+
+def test_scan_reaps_its_children(monkeypatch):
+    assert invoke(*WINDOW, "--parallel", "3").exit_code == 0
+    _assert_no_child_left()
+    # child 1's first row fails while child 2 stalls in its first: the scan
+    # exits internal at once, and no child is left
+    ds = _scan_ds(invoke(*WINDOW, "--parallel", "1").stdout)
+    scan_row = cli._scan_row
+
+    def spy(job):
+        if job[1] == ds[1]:
+            raise RuntimeError("spy")
+        if job[1] == ds[2]:
+            time.sleep(60)
+        return scan_row(job)
+    monkeypatch.setattr(cli, "_scan_row", spy)
+    start = time.perf_counter()
+    r = invoke(*WINDOW, "--parallel", "3")
+    assert time.perf_counter() - start < 30
+    assert r.exit_code == 1
+    assert "error: internal: RuntimeError: scan worker 1 ended before row 1" in r.stderr
+    _assert_no_child_left()
+
+
+def test_reader_leaving_mid_scan_leaves_no_child(tmp_path):
+    # each row at |D| ~ 1e8 takes a while, so the children are mid-row when
+    # the reader leaves after the first one
+    args = ("scan", "--level", "32", "--from", "-100000003", "--to", "-100003000",
+            "--good-only", "--parallel", "3")
+    proc = subprocess.Popen([sys.executable, "-m", "lcrit.cli", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path)
+    try:
+        assert proc.stdout.readline() == b"D,f_x1,f_x2,count_x1,count_x2,verdict\n"
+        assert proc.stdout.readline().startswith(b"-100000")
+        proc.stdout.close()
+        # stderr ends only once every process holding it has exited
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and err == b"", err
 
 
 def test_scan_oracle_builds_once_per_window(monkeypatch):
@@ -436,19 +498,21 @@ def test_console_script_help(tmp_path):
 
 # Runs in a fresh interpreter and reports on stderr, after each step, the
 # top-level modules loaded since startup that are neither the standard
-# library's nor lcrit (multiprocessing's `__mp_main__` alias left out).
-# `--help` exits 0.  Pool workers run `_scan_row` through a spy that fails the
-# row if numpy is mapped in the worker.
+# library's nor lcrit, and which of multiprocessing, dataclasses and json are
+# loaded.  `--help` exits 0.  `_scan_row` runs through a spy that fails the
+# row if numpy is mapped in a forked worker, one whose pid is not the probe's.
 NUMPY_PROBE = """\
-import json
+import os
 import sys
 
 startup = set(sys.modules)
+probe_pid = os.getpid()
 
 def report(step):
     new = {{name.partition(".")[0] for name in set(sys.modules) - startup}}
-    foreign = new - set(sys.stdlib_module_names) - {{"lcrit", "__mp_main__"}}
-    print("loaded", json.dumps([step, sorted(foreign)]), file=sys.stderr, flush=True)
+    foreign = new - set(sys.stdlib_module_names) - {{"lcrit"}}
+    heavy = {{"multiprocessing", "dataclasses", "json"}} & set(sys.modules)
+    print("loaded", repr([step, sorted(foreign), sorted(heavy)]), file=sys.stderr, flush=True)
 
 import lcrit
 report("import lcrit")
@@ -457,8 +521,8 @@ report("import lcrit.cli")
 from lcrit import cli
 
 def worker_row(job):
-    if "numpy" in sys.modules:
-        raise RuntimeError("numpy is loaded in a pool worker")
+    if os.getpid() != probe_pid and "numpy" in sys.modules:
+        raise RuntimeError("numpy is loaded in a forked worker")
     return scan_row(job)
 
 scan_row, cli._scan_row = cli._scan_row, worker_row
@@ -473,38 +537,43 @@ for args in {runs!r}:
 
 def _numpy_probe(tmp_path, *runs):
     """(stdout, {step: modules outside the standard library and lcrit loaded
-    by the end of it}) of NUMPY_PROBE over the runs."""
+    by the end of it}, {step: which of multiprocessing, dataclasses and json
+    are loaded}) of NUMPY_PROBE over the runs."""
     proc = run_python(["-c", NUMPY_PROBE.format(runs=[list(r) for r in runs])],
                       tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = dict(json.loads(line[len("loaded "):]) for line in proc.stderr.splitlines()
-                 if line.startswith("loaded "))
-    return proc.stdout, steps
+    reports = [ast.literal_eval(line[len("loaded "):]) for line in proc.stderr.splitlines()
+               if line.startswith("loaded ")]
+    return (proc.stdout, {step: foreign for step, foreign, _ in reports},
+            {step: heavy for step, _, heavy in reports})
 
 
 def test_startup_and_exact_paths_load_no_numpy(tmp_path):
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-300", "--good-only")
     runs = [("--help",), (*scan, "--parallel", "1"), (*scan, "--parallel", "2"),
-            ("table", "cubes", "--parallel", "2"),
-            ("check", "--level", "32", "--disc", "-219", "--json", "--dump-forms"),
-            ("congruent", "219"), ("cubes", "7")]
-    out, steps = _numpy_probe(tmp_path, *runs)
+            ("table", "cubes", "--parallel", "2"), ("table", "discs"),
+            ("congruent", "219"), ("cubes", "7"),
+            ("check", "--level", "32", "--disc", "-219", "--json", "--dump-forms")]
+    out, steps, heavy = _numpy_probe(tmp_path, *runs)
     assert "D,f_x1,f_x2,count_x1,count_x2,verdict" in out
     assert list(steps) == ["import lcrit", "import lcrit.cli", *(" ".join(r) for r in runs)]
     assert not any(steps.values()), steps  # numpy, click or any other
+    # only the last run, check --json, may load json
+    assert heavy.popitem()[1] in ([], ["json"])
+    assert not any(heavy.values()), heavy
 
 
 def test_oracle_paths_load_numpy_and_match_the_library(tmp_path):
-    out, steps = _numpy_probe(tmp_path, ("check", "--level", "32", "--disc", "-219",
-                                         "--oracle", "--json"))
+    out, steps, _ = _numpy_probe(tmp_path, ("check", "--level", "32", "--disc", "-219",
+                                            "--oracle", "--json"))
     assert steps.pop("check --level 32 --disc -219 --oracle --json") == ["numpy"]
     assert not any(steps.values()), steps
     est = estimate_l_value(32, -219)
     assert json.loads(out)["oracle"]["value"] == est.value
-    # the parent imports the oracle after the pool forks: the workers never map numpy
+    # the parent imports the oracle after it forks: the children never map numpy
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
             "--oracle", "--parallel", "2")
-    out, steps = _numpy_probe(tmp_path, scan)
+    out, steps, _ = _numpy_probe(tmp_path, scan)
     assert steps.pop(" ".join(scan)) == ["numpy"]
     assert not any(steps.values()), steps
     lines = out.splitlines()
