@@ -65,7 +65,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all n < 3.3e24; below
+    3 215 031 751, the least strong pseudoprime to 2, 3, 5 and 7, those four
+    bases alone are exact."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -76,7 +78,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < 3_215_031_751 else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -53,17 +53,17 @@ class CoefficientSeries:
         return len(self.a) - 1
 
 
-def _pentagonal_pairs(limit: int):
-    """(exponent, sign) pairs of prod (1 - q^n) up to the given degree."""
-    pairs = [(0, 1)]
+def _pentagonal(d: int, limit: int):
+    """Exponents (ascending) and signs of prod (1 - q^(d*n)) up to degree limit."""
+    exps, signs = [0], [1]
     k = 1
-    while k * (3 * k - 1) // 2 <= limit:
-        sign = -1 if k % 2 else 1
-        pairs.append((k * (3 * k - 1) // 2, sign))
-        if k * (3 * k + 1) // 2 <= limit:
-            pairs.append((k * (3 * k + 1) // 2, sign))
+    while d * k * (3 * k - 1) // 2 <= limit:
+        for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if d * j <= limit:
+                exps.append(d * j)
+                signs.append(-1 if k % 2 else 1)
         k += 1
-    return pairs
+    return np.array(exps, dtype=np.int64), np.array(signs, dtype=np.int64)
 
 
 def _check_length(m: int):
@@ -76,28 +76,34 @@ def _check_length(m: int):
 
 def eta_coefficients(level: int, m: int) -> CoefficientSeries:
     """Expand the registered eta quotient for the level through q^m and
-    return a_1..a_m (the leading q^(sum d*e/24) shift is accounted for)."""
+    return a_1..a_m.  With shift s = sum(d*e)/24 and g the gcd of the d, the
+    quotient is q^s times a series in Q = q^g, expanded to degree (m - s)//g
+    and written to a[s::g].  Of its unit factors prod (1 - Q^(n*d/g)), four
+    at weight 2, the two smallest d multiply as sparse pentagonal series and
+    each further one as shifted passes."""
     _check_length(m)
     src = load_newform_data().get(level)
     if src is None or not src.eta:
         raise PreconditionError(f"no eta-quotient expansion registered for level {level}")
     shift = sum(d * e for d, e in src.eta) // 24
-    deg = m - shift
-    arr = np.zeros(max(deg, 0) + 1, dtype=np.int64)
-    arr[0] = 1
-    for d, e in src.eta:
-        pairs = [(g * d, s) for g, s in _pentagonal_pairs(deg // d if d <= deg else 0)
-                 if g * d <= deg]
-        for _ in range(e):
-            out = np.zeros_like(arr)
-            for g, s in pairs:
-                if s == 1:
-                    out[g:] += arr[:len(arr) - g]
-                else:
-                    out[g:] -= arr[:len(arr) - g]
-            arr = out
+    g = math.gcd(*(d for d, _ in src.eta))
+    deg = (m - shift) // g
+    first, second, *rest = sorted(d // g for d, e in src.eta for _ in range(e))
+    arr = np.zeros(deg + 1, dtype=np.int64)
+    exps, signs = _pentagonal(second, deg)
+    for x, s in zip(*_pentagonal(first, deg)):
+        n = np.searchsorted(exps, deg - x, side="right")
+        arr[x + exps[:n]] += s * signs[:n]
+    for d in rest:
+        out = np.zeros_like(arr)
+        for x, s in zip(*_pentagonal(d, deg)):
+            if s == 1:
+                out[x:] += arr[:len(arr) - x]
+            else:
+                out[x:] -= arr[:len(arr) - x]
+        arr = out
     a = np.zeros(m + 1, dtype=np.int64)
-    a[shift:] = arr[:m + 1 - shift]
+    a[shift::g] = arr
     return CoefficientSeries(level, a)
 
 
@@ -161,15 +167,25 @@ def curve_ap(curve: CurveModel, p: int) -> int:
 
     Odd p: completing the square, (x, y) -> (x, 2y + a1*x + a3), is a
     bijection from the affine points onto those of Y^2 = 4x^3 + b2*x^2 +
-    2*b4*x + b6 whatever the reduction, and bincount(x^2)[v] is the number
-    of square roots of v.  p = 2 is counted directly."""
+    2*b4*x + b6 whatever the reduction; v != 0 has 2*bincount(y^2)[v] square
+    roots over y = 1..(p-1)/2, and 0 has one.  The cubic is reduced once at
+    the end (5p^3 < 2^63 while p <= 2^20, and once more midway above that).
+    p = 2 is counted directly."""
     if p < 2 or not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
     if p == 2:
         return p + 1 - _count_all_points(curve, p)
     x = np.arange(p, dtype=np.int64)
-    f = (((4 * x + curve.b2) % p * x + 2 * curve.b4) % p * x + curve.b6) % p
-    return p - int(np.bincount(x * x % p, minlength=p)[f].sum())
+    f = (4 * x + curve.b2 % p) * x + 2 * curve.b4 % p
+    if p > 1 << 20:
+        f -= f // p * p
+    f = f * x + curve.b6 % p
+    f -= f // p * p  # f % p: numpy divides by a scalar divisor fast, remainders slowly
+    y = x[1:(p + 1) // 2] ** 2
+    y -= y // p * p
+    roots = 2 * np.bincount(y, minlength=p)
+    roots[0] = 1
+    return p - int(roots[f].sum())
 
 
 def _prime_sieve(m: int) -> np.ndarray:
@@ -186,35 +202,24 @@ def extend_multiplicatively(ap_values: dict, level: int, m: int) -> CoefficientS
     p*a_{p^(k-1)} away from the level, a_{p^k} = a_p^k at primes dividing it,
     multiplicative across coprime indices."""
     _check_length(m)
-    a = np.zeros(m + 1, dtype=np.int64)
-    a[1] = 1
-    primes = _prime_sieve(m)
-    for p in primes:
+    a = np.ones(m + 1, dtype=np.int64)
+    a[0] = 0
+    for p in _prime_sieve(m):
         p = int(p)
         if p not in ap_values:
             raise PreconditionError(f"missing a_p for prime {p} <= {m}")
         ap = ap_values[p]
-        a[p] = ap
-        pk_prev, pk = 1, p
-        while pk * p <= m:
-            nxt = ap * a[pk] - (0 if level % p == 0 else p * a[pk_prev])
-            pk_prev, pk = pk, pk * p
-            a[pk] = nxt
-    # multiplicative fill over composite indices via smallest prime factors
-    spf = np.zeros(m + 1, dtype=np.int64)
-    for p in primes:
-        sub = spf[p::p]
-        sub[sub == 0] = p
-    for n in range(2, m + 1):
-        p = int(spf[n])
-        if n == p:
+        if p * p > m:
+            a[p::p] *= ap
             continue
-        pk, rest = p, n // p
-        while rest % p == 0:
+        # factor[j] = a_{p^v} with v the p-adic valuation of j*p
+        factor = np.full(m // p + 1, ap, dtype=np.int64)
+        prev, cur, pk = 1, ap, p
+        while pk * p <= m:
+            prev, cur = cur, ap * cur - (0 if level % p == 0 else p * prev)
+            factor[::pk] = cur
             pk *= p
-            rest //= p
-        if rest > 1:
-            a[n] = a[pk] * a[rest]
+        a[::p] *= factor
     return CoefficientSeries(level, a)
 
 
@@ -258,9 +263,24 @@ def default_terms(level: int, d: int) -> int:
 
 def _chi_vector(d: int, m: int) -> np.ndarray:
     """kronecker(d, n) for n = 1..m, read off one period (chi_d has period
-    |d| for fundamental d), of which only residues up to m are computed."""
-    period = np.array([kronecker(d, r) for r in range(min(abs(d), m + 1))], dtype=np.int64)
-    return period[np.arange(1, m + 1) % abs(d)]
+    |d| for fundamental d), of which only residues up to m are computed.
+    chi_d is completely multiplicative, so the period is filled from its
+    primes q: chi(q) = 0 zeroes the multiples of q, and chi(q) = -1 negates
+    the multiples of each power of q."""
+    period = np.ones(min(abs(d), m + 1), dtype=np.int64)
+    period[0] = 0
+    for q in _prime_sieve(len(period) - 1):
+        q = int(q)
+        c = kronecker(d, q)
+        if c == 0:
+            period[::q] = 0
+        elif c == -1:
+            qk = q
+            while qk < len(period):
+                period[::qk] *= -1
+                qk *= q
+    # chi(1), chi(2), ... from period[1:] and then period[0], repeated
+    return np.resize(np.roll(period, -1), m)
 
 
 # sup over n >= 1 of sigma_0(n)/sqrt(n) is attained at n = 12 (6/sqrt(12) ~ 1.733),

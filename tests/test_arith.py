@@ -158,6 +158,14 @@ def test_is_prime_worked_values():
     assert is_prime(40500059)
 
 
+def test_is_prime_strong_pseudoprimes():
+    # the least strong pseudoprimes to 2, 3, 5 (below the four-base bound),
+    # to 2, 3, 5, 7 (the bound itself) and to 2 through 11 (above it)
+    for n in (25_326_001, 3_215_031_751, 2_152_302_898_747):
+        assert all(_mr_probable_prime(n, b) for b in (2, 3, 5)), n
+        assert not is_prime(n), n
+
+
 def test_is_prime_small_range():
     sieve = [True] * 10 ** 4
     sieve[0] = sieve[1] = False

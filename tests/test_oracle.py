@@ -1,6 +1,7 @@
 """Newform coefficient generation (eta quotients, point counts, Hecke
 extension) and the truncated central-value estimate with rigorous tails."""
 
+import hashlib
 import math
 import random
 from math import gcd
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from lcrit import oracle
-from lcrit.arith import factorize, is_fundamental_discriminant, is_prime
+from lcrit.arith import factorize, is_fundamental_discriminant, is_prime, kronecker
 from lcrit.criterion import LEVELS
 from lcrit.errors import DataError, PreconditionError
 from lcrit.newformdata import load_newform_data
@@ -119,6 +120,23 @@ def test_curve_ap_against_brute_count():
     for _ in range(5):
         p = rng.choice((149, 211, 307, 401, 503))
         assert curve_ap(curve, p) == p + 1 - _brute_count(curve, p)
+
+
+def _horner_ap(curve, p):
+    """a_p for odd p by the earlier kernel's formula, reduced after every
+    Horner step (test-local reference)."""
+    x = np.arange(p, dtype=np.int64)
+    f = (((4 * x + curve.b2) % p * x + 2 * curve.b4) % p * x + curve.b6) % p
+    return p - int(np.bincount(x * x % p, minlength=p)[f].sum())
+
+
+def test_curve_ap_across_the_reduction_guard():
+    # 5p^3 passes 2^63 above p = 2^20, where the cubic needs a second reduction
+    for level in (17, 49):
+        curve = CurveModel.from_source(load_newform_data()[level])
+        for p in (1_048_573, 1_048_583, 2_000_003):
+            assert is_prime(p)
+            assert curve_ap(curve, p) == _horner_ap(curve, p), (level, p)
 
 
 def test_extend_worked_values():
@@ -298,3 +316,51 @@ def test_caveats():
     est = twisted_l_value(-4, newform_coefficients(27, 500))
     assert any("even D" in c for c in est.caveats)
 
+
+# sha256 of the int64 bytes of a[0..m], recorded from the commit before the
+# q^g eta expansion, the one-reduction point count and the prime-filled
+# Hecke and chi kernels: every kernel rewrite must leave these bytes alone
+NEWFORM_12000_DIGESTS = {
+    11: "6417b665554d841f4b88c676b5f8e8ba817a46335f16c6fdfbaf08c0c56df1bb",
+    14: "cb643891f54d700ae79809e0cb6f9c5029b9f25795fb454fa1c5fe6660442ed1",
+    15: "1b99539e68f2c7fddd0f33784555d32f52d94e84fbee55a88a9b2f0dfda994de",
+    17: "ac790636f2a6b1d8859405e2c1a982c1da87291bd23873ffe40e7fe91cec3e12",
+    19: "00bfca1cc2cd4b9632e5ea4a1389d44a72b937c57b4f87893c7052227d239cb2",
+    20: "642adab2d870c477dd1d305e20aba0e204d9fb15576e57090a67a22d78abd14b",
+    21: "e6878dedf11ff0795e016f10ec3e0b56d89d625b5e27713f0a0b22b93efa3138",
+    24: "1cb192db3969f90edb2371ceda5155cd7246ffa413187131628122b37a6f0f5a",
+    27: "a9027f62e1b8d5c80fff2c95c14d8d15eb8217f6bedf7500017431275e927ae4",
+    32: "506d69da0b0acc1f22fb0e6bcc8c42cf3550ae5eb1e46acd5c4a08a77bb947bf",
+    36: "8ec104edb5de7cf7d270a4b2047d89b7c328ab9f26d011ff0697f4570076380e",
+    49: "e9dd97ae4725c8553b1d5709f2236a719ce3d14995c2c49027648e1b4fb07b3c",
+}
+ETA_300000_DIGESTS = {
+    11: "58bbf81dd9f75a19ebff38138e4d09137ff2e1cf1de29df258e23cb365d07551",
+    14: "2348eb6de0d8397f198cb25150da04d686d6488677574a9e346a01392ad52d74",
+    15: "6f59094dc79e438103d7ad7ac6be41cc8c51d1d5184d115029be291329c5f71d",
+    20: "5c3b29b7fc88cd12ccff480dd9deee3e1219e1b56f415b8b19a35789a20ae407",
+    24: "e6ddb536f078ff394c69c1b60d807d5d574e6e1893aae505fcf7322601e8c081",
+    27: "bd31d42c89b2fd6b62500d593f7031dd60ee17e04b68520dae703155e003129f",
+    32: "9a5fb73089165d0102913fe354dea3b69b46726820c928e3744b877da3b147a1",
+    36: "341620f2fd9b92a3f0cad906c69a2e1f23e0fceeef230bf28f5d9b5163f49374",
+}
+
+
+def test_coefficient_digests():
+    for level, digest in NEWFORM_12000_DIGESTS.items():
+        a = newform_coefficients(level, 12_000).a
+        assert hashlib.sha256(a.tobytes()).hexdigest() == digest, level
+    for level, digest in ETA_300000_DIGESTS.items():
+        a = eta_coefficients(level, 300_000).a
+        assert hashlib.sha256(a.tobytes()).hexdigest() == digest, level
+
+
+def test_chi_vector_is_kronecker():
+    # every m class: inside one period, at its edges (the period cut at m + 1)
+    # and over several periods
+    for d in range(-3, -600, -1):
+        if not is_fundamental_discriminant(d):
+            continue
+        for m in {1, abs(d) - 1, abs(d), abs(d) + 1, 3 * abs(d)}:
+            chi = oracle._chi_vector(d, m)
+            assert chi.tolist() == [kronecker(d, n) for n in range(1, m + 1)], (d, m)
