@@ -16,7 +16,7 @@ from .arith import divisors, is_fundamental_discriminant, is_prime, kronecker
 from .criterion import (LEVELS, DerivedVerdict, FEvaluation, LevelData, ParityResult, Vanishing,
                         VanishingVerdict, compare, congruent_verdict, cubes_verdict, f_sum,
                         is_good, level_data, parity_test, table_condition, vanishing_verdict)
-from .errors import DataError, PreconditionError
+from .errors import PreconditionError
 from .genus import genus_character
 from .quadforms import Form, as_point, discriminant, enumerate_forms
 

@@ -12,7 +12,7 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
@@ -36,6 +36,10 @@ SCAN_FIELDS = ("D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
 def _fail(code: int, message: str):
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
+
+
+def _internal(exc: Exception) -> str:
+    return f"internal: {type(exc).__name__}: {exc}"
 
 
 def _count(text: str) -> int:
@@ -128,18 +132,26 @@ def _scan_rows(jobs, parallel):
 
 
 def _scan_child(jobs, write_end, read_ends):
-    """A forked worker: each row as one line of the exact columns, flushed
-    when done; it exits at its next write once the parent is gone."""
+    """A forked worker: each row as one line of the exact columns, written
+    when done; it exits at its next write once the parent is gone.  An error
+    is reported as main reports it, in one write and before the pipe closes
+    at exit, so before the parent's own line; not a closed pipe (the parent
+    has left), nor what is not an Exception (SIGINT reaches the whole
+    process group)."""
+    status = 1
     try:
         for fd in read_ends:
             os.close(fd)
-        with os.fdopen(write_end, "wb") as out:
-            for job in jobs:
-                out.write(",".join(map(str, _scan_row(job).values())).encode() + b"\n")
-                out.flush()
-    except BaseException:
-        os._exit(1)
-    os._exit(0)
+        for job in jobs:
+            os.write(write_end, ",".join(map(str, _scan_row(job).values())).encode() + b"\n")
+        status = 0
+    except BrokenPipeError:
+        pass
+    except Exception as exc:
+        sys.stderr.write(f"error: {_internal(exc)}\n")
+        sys.stderr.flush()
+    finally:  # never return into the parent's code
+        os._exit(status)
 
 
 def _merge_rows(jobs, workers, pipes):
@@ -203,7 +215,7 @@ def _emit_scan(rows, estimates, as_json):
 def table(name, parallel):
     """Recompute a built-in reference table and compare against frozen values."""
     if name == "discs":
-        _table_discs()
+        _table_discs(parallel)
     else:
         _table_values(name, parallel)
 
@@ -214,47 +226,48 @@ def _table_values(name, parallel):
     expected = reference.rows_for(name)
     print(f"table {name} (level {level}, x1 = {row.x1}, x2 = {row.x2})", flush=True)
     print(f"{'D':>12} {'F(x1)':>8} {'F(x2)':>8}  status", flush=True)
-    with _scan_rows([(level, d) for d, _, _, _ in expected], parallel) as rows:
-        computed = list(rows)
     mismatches = 0
-    for (d, f1, f2, verdict), got in zip(expected, computed):
-        ok = (got["f_x1"], got["f_x2"]) == (f1, f2)
-        status = "ok" if ok else f"MISMATCH (expected {f1}, {f2})"
-        mismatches += not ok
-        suffix = f"  [{verdict}]" if verdict else ""
-        print(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}", flush=True)
+    with _scan_rows([(level, d) for d, _, _, _ in expected], parallel) as rows:
+        for (d, f1, f2, verdict), got in zip(expected, rows):
+            ok = (got["f_x1"], got["f_x2"]) == (f1, f2)
+            status = "ok" if ok else f"MISMATCH (expected {f1}, {f2})"
+            mismatches += not ok
+            suffix = f"  [{verdict}]" if verdict else ""
+            print(f"{d:>12} {got['f_x1']:>8} {got['f_x2']:>8}  {status}{suffix}", flush=True)
     if mismatches:
         _fail(EXIT_MISMATCH, f"table {name}: {mismatches} row(s) differ from frozen values")
-    print(f"all {len(computed)} rows match", flush=True)
+    print(f"all {len(expected)} rows match", flush=True)
 
 
-def _table_discs():
+def _table_discs(parallel):
     print("level registry and non-invariance lists "
           "(* = listed good fundamental entry)", flush=True)
+    levels = [(row, [m for m in range(3, max(row.noninvariant_m) + 1) if _valid_pair(-m, row.d0)])
+              for row in map(LEVELS.get, sorted(LEVELS))]
     mismatches = 0
-    for level in sorted(LEVELS):
-        row = LEVELS[level]
-        recomputed = [m for m in range(3, max(row.noninvariant_m) + 1) if _valid_pair(-m, row.d0)
-                      and compare(level, -m).outcome is Vanishing.L_NONZERO]
-        listed_valid = [m for m in row.noninvariant_m if _valid_pair(-m, row.d0)]
-        skipped = [m for m in row.noninvariant_m if m not in listed_valid]
-        missing = [m for m in listed_valid if m not in recomputed]
-        extra = [m for m in recomputed if m not in listed_valid]
-        mark = lambda m: f"{m}*" if m in row.underlined_m else str(m)
-        print(f"level {level:>2}  D0 = {row.d0:>3}  x = ({row.x1}, {row.x2})  "
-              f"condition: {row.condition}", flush=True)
-        print(f"  listed:     {' '.join(mark(m) for m in row.noninvariant_m)}", flush=True)
-        print(f"  recomputed: {' '.join(str(m) for m in recomputed)}", flush=True)
-        if skipped:
-            print(f"  skipped (square |D*D0| or non-discriminant): "
-                  f"{' '.join(str(m) for m in skipped)}", flush=True)
-        if missing:
-            mismatches += len(missing)
-            print(f"  MISMATCH: listed but computed invariant: "
-                  f"{' '.join(str(m) for m in missing)}", flush=True)
-        if extra:
-            print(f"  note: unlisted non-invariant m: "
-                  f"{' '.join(str(m) for m in extra)}", flush=True)
+    with _scan_rows([(row.level, -m) for row, ms in levels for m in ms], parallel) as rows:
+        for row, ms in levels:
+            recomputed = [m for m, r in zip(ms, islice(rows, len(ms)))
+                          if r["verdict"] == Vanishing.L_NONZERO.value]
+            listed_valid = [m for m in row.noninvariant_m if _valid_pair(-m, row.d0)]
+            skipped = [m for m in row.noninvariant_m if m not in listed_valid]
+            missing = [m for m in listed_valid if m not in recomputed]
+            extra = [m for m in recomputed if m not in listed_valid]
+            mark = lambda m: f"{m}*" if m in row.underlined_m else str(m)
+            print(f"level {row.level:>2}  D0 = {row.d0:>3}  x = ({row.x1}, {row.x2})  "
+                  f"condition: {row.condition}", flush=True)
+            print(f"  listed:     {' '.join(mark(m) for m in row.noninvariant_m)}", flush=True)
+            print(f"  recomputed: {' '.join(str(m) for m in recomputed)}", flush=True)
+            if skipped:
+                print(f"  skipped (square |D*D0| or non-discriminant): "
+                      f"{' '.join(str(m) for m in skipped)}", flush=True)
+            if missing:
+                mismatches += len(missing)
+                print(f"  MISMATCH: listed but computed invariant: "
+                      f"{' '.join(str(m) for m in missing)}", flush=True)
+            if extra:
+                print(f"  note: unlisted non-invariant m: "
+                      f"{' '.join(str(m) for m in extra)}", flush=True)
     if mismatches:
         _fail(EXIT_MISMATCH, f"table discs: {mismatches} listed value(s) not reproduced")
     print("all listed non-invariant values reproduced", flush=True)
@@ -312,7 +325,7 @@ def parser() -> argparse.ArgumentParser:
     arg = command(table)
     arg("name", choices=["maincor", "primes", "cubes", "discs"])
     arg("--parallel", type=_count, default=0,
-        help="worker count (default: all cores); ignored by discs, which runs in one process")
+        help="worker count (default: all cores)")
     for run in (congruent, cubes):
         command(run)("n", type=int)
     return top
@@ -331,7 +344,7 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)
     except Exception as exc:
-        _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
+        _fail(EXIT_INTERNAL, _internal(exc))
 
 
 if __name__ == "__main__":

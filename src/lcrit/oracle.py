@@ -26,7 +26,7 @@ from math import gcd
 import numpy as np
 
 from .arith import is_fundamental_discriminant, is_prime, kronecker
-from .errors import DataError, PreconditionError
+from .errors import PreconditionError
 from .newformdata import NewformSource, load_newform_data
 
 # the most newform coefficients the oracle builds or sums
@@ -47,7 +47,7 @@ class CoefficientSeries:
 
     def __post_init__(self):
         if len(self.a) < 2 or self.a[1] != 1:
-            raise DataError(f"level {self.level} expansion is not normalized (a_1 != 1)")
+            raise ValueError(f"level {self.level} expansion is not normalized (a_1 != 1)")
 
     def __len__(self):
         return len(self.a) - 1

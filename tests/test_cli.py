@@ -1,8 +1,9 @@
 """Command-line interface: exit codes (a closed stdout, refused arguments
 and an unexpected error included), CSV/JSON schemas, scan determinism across
-worker counts, the parent's share of the rows and no child outliving a scan,
-oracle columns, reference-table comparison, no module loaded from outside the
-standard library but numpy, and that only by the oracle, no multiprocessing,
+worker counts, the parent's share of the rows, no child outliving a scan, a
+failing worker naming its error, tables streaming their rows, oracle columns,
+reference-table comparison, no module loaded from outside the standard
+library but numpy, and that only by the oracle, no multiprocessing,
 dataclasses or json on the exact paths, and README naming every option and no
 other."""
 
@@ -170,10 +171,10 @@ def test_scan_deterministic_across_workers():
         parallel = invoke(*window, "--parallel", "8")
         assert serial.exit_code == 0 and parallel.exit_code == 0, extra
         assert serial.output == parallel.output, extra
-    # tables at three workers, and a two-row scan asking for three and eight
+    # tables at two or three workers, and a two-row scan asking for three and eight
     few = ("scan", "--level", "32", "--from", "-3", "--to", "-20", "--good-only")
     for args, counts in ((("table", "primes"), ("3",)), (("table", "cubes"), ("3",)),
-                         (few, ("3", "8"))):
+                         (("table", "discs"), ("2", "3")), (few, ("3", "8"))):
         serial = invoke(*args, "--parallel", "1")
         assert serial.exit_code == 0, args
         for n in counts:
@@ -214,6 +215,44 @@ def test_parent_computes_its_stride(monkeypatch):
         assert seen == ds[0::workers], workers
 
 
+def test_table_discs_runs_on_the_scan_workers(monkeypatch):
+    # one job list, each level's valid m from 3 up in level order; of two
+    # workers the printing process computes jobs 0, 2, 4, ...
+    jobs = [(level, -m) for level, row in sorted(LEVELS.items())
+            for m in range(3, max(row.noninvariant_m) + 1) if cli._valid_pair(-m, row.d0)]
+    seen = []
+    scan_row = cli._scan_row
+
+    def spy(job):
+        seen.append(job)
+        return scan_row(job)
+    monkeypatch.setattr(cli, "_scan_row", spy)
+    serial = invoke("table", "discs", "--parallel", "1")
+    assert serial.exit_code == 0 and seen == jobs
+    seen.clear()
+    r = invoke("table", "discs", "--parallel", "2")
+    assert r.exit_code == 0 and r.output == serial.output
+    assert seen == jobs[0::2]
+
+
+def test_tables_stream_their_rows(monkeypatch):
+    # each row prints when it is computed: a failure at the fifth row leaves
+    # the two header lines and the four rows before it on stdout
+    ds = [d for d, *_ in reference.rows_for("maincor")]
+    scan_row = cli._scan_row
+
+    def spy(job):
+        if job[1] == ds[4]:
+            raise RuntimeError("spy")
+        return scan_row(job)
+    monkeypatch.setattr(cli, "_scan_row", spy)
+    r = invoke("table", "maincor", "--parallel", "1")
+    assert r.exit_code == 1
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith("table maincor (level 32") and lines[1].split()[0] == "D"
+    assert [int(line.split()[0]) for line in lines[2:]] == ds[:4]
+
+
 def test_scan_reaps_its_children(monkeypatch):
     assert invoke(*WINDOW, "--parallel", "3").exit_code == 0
     _assert_no_child_left()
@@ -235,6 +274,35 @@ def test_scan_reaps_its_children(monkeypatch):
     assert r.exit_code == 1
     assert "error: internal: RuntimeError: scan worker 1 ended before row 1" in r.stderr
     _assert_no_child_left()
+
+
+# a scan whose _scan_row raises at one D
+FAILING_ROW = """\
+from lcrit import cli
+
+scan_row = cli._scan_row
+
+def spy(job):
+    if job[1] == {d}:
+        raise RuntimeError("spy")
+    return scan_row(job)
+
+cli._scan_row = spy
+cli.main({args!r})
+"""
+
+
+def test_failing_worker_says_why(tmp_path):
+    # in this process a forked child would write to its copy of the
+    # redirected sys.stderr, so the scan runs in a subprocess; with two
+    # workers, row 1 is child 1's
+    d = _scan_ds(invoke(*WINDOW, "--parallel", "1").stdout)[1]
+    args = [*WINDOW, "--parallel", "2"]
+    proc = run_python(["-c", FAILING_ROW.format(d=d, args=args)], tmp_path, timeout=120)
+    # the child reports before its pipe closes, so before the parent does
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: internal: RuntimeError: spy\n"
+                           "error: internal: RuntimeError: scan worker 1 ended before row 1\n")
 
 
 def test_reader_leaving_mid_scan_leaves_no_child(tmp_path):

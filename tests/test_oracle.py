@@ -13,7 +13,7 @@ import pytest
 from lcrit import oracle
 from lcrit.arith import factorize, is_fundamental_discriminant, is_prime, kronecker
 from lcrit.criterion import LEVELS
-from lcrit.errors import DataError, PreconditionError
+from lcrit.errors import PreconditionError
 from lcrit.newformdata import load_newform_data
 from lcrit.oracle import (
     T_NONZERO,
@@ -200,10 +200,12 @@ def test_eta_agrees_with_curve_route_at_scale():
 
 
 def test_series_normalization_enforced():
-    with pytest.raises(DataError):
-        CoefficientSeries(32, np.array([0, 2, 1], dtype=np.int64))
-    with pytest.raises(DataError):
-        CoefficientSeries(32, np.array([0], dtype=np.int64))
+    # a series that is not normalized is a program fault, not bad input:
+    # a ValueError that main reports as internal (exit 1), not exit 2
+    for a in ([0, 2, 1], [0]):
+        with pytest.raises(ValueError) as exc:
+            CoefficientSeries(32, np.array(a, dtype=np.int64))
+        assert not isinstance(exc.value, PreconditionError)
 
 
 def test_twisted_worked_verdicts():
