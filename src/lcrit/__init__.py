@@ -1,15 +1,16 @@
 """Exact vanishing criteria for central L-values of quadratic twists at the
-dimension-one levels, with an independent truncated-L-series cross-check.
+dimension-one levels, with an independent exact modular-symbol cross-check.
 
 The criterion compares two finite genus-character-weighted counts of binary
 quadratic forms; equality decides vanishing.  See criterion.compare (the one
 evaluation and comparison), criterion.vanishing_verdict (compare behind its
 domain gates) and cli for the command line.
 
-The numeric oracle (estimate_l_value, estimate_l_values, CurveModel, ...) is
-imported from lcrit.oracle, not from here: it is the only module that needs
-numpy, so importing lcrit, or running any command without --oracle, does not
-load numpy.
+The oracle (estimate_l_value, OracleVerdict, LValueEstimate) is imported
+from lcrit.oracle, not from here, so importing lcrit, or running any command
+without --oracle, does not load it.  It uses the standard library only.
+lcrit.series, the truncated L-series that the tests use as the oracle's
+numeric check, is the one module that needs numpy.
 """
 
 from .arith import divisors, is_fundamental_discriminant, is_prime, kronecker

@@ -12,7 +12,7 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import islice
 
 from . import criterion, reference
 from .arith import is_fundamental_discriminant, is_square
@@ -20,17 +20,18 @@ from .criterion import (LEVELS, Vanishing, compare, enumerate_forms, level_data,
                         table_condition_filter, vanishing_verdict)
 from .errors import PreconditionError
 
-# lcrit.oracle, the one module that loads numpy, is imported only under --oracle,
-# and json only under --json
+# lcrit.oracle is imported only under --oracle, and json only under --json
 
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 
 # a scan row's columns in order: the CSV header, and the keys of each row dict
-# and NDJSON line; the last two, the oracle's, only under --oracle
+# and NDJSON line; the last two, the oracle's, only under --oracle.  A child
+# writes each cell as str(), and SCAN_TYPES reads it back.
 SCAN_FIELDS = ("D", "f_x1", "f_x2", "count_x1", "count_x2", "verdict",
                "oracle_verdict", "oracle_value")
+SCAN_TYPES = (int, int, int, int, int, str, str, float)
 
 
 def _fail(code: int, message: str):
@@ -77,8 +78,7 @@ def check(level, disc, as_json, with_oracle, dump_forms):
             obj["forms_x1"], obj["forms_x2"] = forms
         if est is not None:
             obj["oracle"] = {"verdict": est.verdict.value, "value": est.value,
-                             "terms": est.terms_used, "tail_bound": est.tail_bound,
-                             "caveats": list(est.caveats)}
+                             "root_number": est.root_number, "caveats": list(est.caveats)}
         print(json.dumps(obj), flush=True)
         return
     print(f"level {level}  D = {disc}  D0 = {row.d0}  Delta = {disc * row.d0}", flush=True)
@@ -92,22 +92,30 @@ def check(level, disc, as_json, with_oracle, dump_forms):
         print(f"forms at {row.x1}: {forms[0]}", flush=True)
         print(f"forms at {row.x2}: {forms[1]}", flush=True)
     if est is not None:
-        print(f"oracle: {est.verdict.value}  value = {est.value:.6g}  "
-              f"tail <= {est.tail_bound:.2e}  ({est.terms_used} terms)", flush=True)
+        print(f"oracle: {est.verdict.value}  L_alg = {est.l_alg}  (exact modular-symbol sum)",
+              flush=True)
+        if est.root_number is not None:
+            print(f"oracle root number: w(E_D) = chi_D(-N) = {est.root_number:+d}", flush=True)
         for c in est.caveats:
             print(f"oracle caveat: {c}", flush=True)
 
 
 def _scan_row(job):
-    """The exact columns of one (level, D) row, keyed by SCAN_FIELDS."""
-    v = compare(*job)
-    return dict(zip(SCAN_FIELDS, (v.d, v.f_x1, v.f_x2, v.count_x1, v.count_x2,
-                                  v.outcome.value)))
+    """One row keyed by SCAN_FIELDS: the exact columns of a (level, D) job,
+    and the oracle's two as well for a (level, D, True) job."""
+    level, d, *with_oracle = job
+    v = compare(level, d)
+    cells = (d, v.f_x1, v.f_x2, v.count_x1, v.count_x2, v.outcome.value)
+    if with_oracle:
+        from .oracle import estimate_l_value
+        est = estimate_l_value(level, d)
+        cells += (est.verdict.value, est.value)
+    return dict(zip(SCAN_FIELDS, cells))
 
 
 @contextmanager
 def _scan_rows(jobs, parallel):
-    """Scan rows for (level, D) jobs in order from W = min(parallel, len(jobs))
+    """Scan rows for the jobs of _scan_row in order from W = min(parallel, len(jobs))
     processes (parallel 0: all cores; one where os.fork is missing).  This
     process computes jobs[0::W] and forks W - 1 children, child k streaming
     jobs[k::W] down a pipe.  Leaving the block kills and reaps every child."""
@@ -163,8 +171,8 @@ def _merge_rows(jobs, workers, pipes):
             line = pipes[i % workers - 1].readline()
             if not line:
                 raise RuntimeError(f"scan worker {i % workers} ended before row {i}")
-            *counts, verdict = line.decode().rstrip("\n").split(",")
-            yield dict(zip(SCAN_FIELDS, (*map(int, counts), verdict)))
+            cells = line.decode().rstrip("\n").split(",")
+            yield {k: read(c) for k, read, c in zip(SCAN_FIELDS, SCAN_TYPES, cells)}
 
 
 def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
@@ -181,30 +189,19 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
             if not is_fundamental_discriminant(d):
                 raise PreconditionError(f"--oracle needs fundamental D; D = {d} "
                                         "is not one (--good-only skips it)")
-    accepted = [(level, d) for d in ds]
+    jobs = [(level, d, True) if with_oracle else (level, d) for d in ds]
     if not as_json:
         fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
         print(",".join(fields), flush=True)
-    with _scan_rows(accepted, parallel) as rows:
-        # imported and built after the workers have forked, while they
-        # compute rows: they neither map numpy nor wait for it
-        estimates = None
-        if with_oracle:
-            from .oracle import estimate_l_values
-            estimates = estimate_l_values(level, [d for _, d in accepted])
-        _emit_scan(rows, estimates, as_json)
+    with _scan_rows(jobs, parallel) as rows:
+        _emit_scan(rows, as_json)
 
 
-def _emit_scan(rows, estimates, as_json):
-    """Print the rows in order, with one oracle estimate each unless
-    `estimates` is None.  The estimate is drawn before its row, so this
-    process builds the coefficient series while the children compute rows."""
-    with_oracle = estimates is not None
+def _emit_scan(rows, as_json):
+    """Print the rows in order, as CSV or NDJSON."""
     if as_json:
         import json
-    for est, r in zip(estimates if with_oracle else repeat(None), rows):
-        if with_oracle:
-            r.update(zip(SCAN_FIELDS[-2:], (est.verdict.value, est.value)))
+    for r in rows:
         if as_json:
             line = json.dumps(r)
         else:
@@ -311,7 +308,7 @@ def parser() -> argparse.ArgumentParser:
     arg("--disc", type=int, required=True, help="negative fundamental discriminant D")
     arg("--json", dest="as_json", action="store_true")
     arg("--oracle", dest="with_oracle", action="store_true",
-        help="cross-check with the truncated L-series estimate")
+        help="cross-check with the exact modular-symbol value L_alg(D)")
     arg("--dump-forms", action="store_true")
     arg = command(scan)
     arg("--level", type=int, required=True)

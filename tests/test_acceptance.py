@@ -31,13 +31,8 @@ from lcrit.criterion import (
     vanishing_verdict,
 )
 from lcrit.genus import genus_character
-from lcrit.oracle import (
-    CurveModel,
-    OracleVerdict,
-    estimate_l_value,
-    eta_coefficients,
-    extend_multiplicatively,
-)
+from lcrit.oracle import OracleVerdict, estimate_l_value
+from lcrit.series import CurveModel, eta_coefficients, extend_multiplicatively
 from lcrit.newformdata import load_newform_data
 from lcrit.quadforms import Form, discriminant, enumerate_forms
 from lcrit.reference import CUBES_ROWS, MAINCOR_ROWS, PRIMES_ROWS

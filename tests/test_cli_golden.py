@@ -4,8 +4,7 @@ byte-identical is checked on every run.
 
 A digest changes only with a deliberate change of output.  Print the new
 table with `PYTHONPATH=src python tests/test_cli_golden.py` and say in the
-change which output changed and why.  `--json --oracle` is left out: its raw
-float value is not stable across numpy builds.
+change which output changed and why.
 """
 
 import hashlib
@@ -26,6 +25,7 @@ COMMANDS = (
     ("check", "--level", "27", "--disc", "-3115", "--dump-forms"),
     ("check", "--level", "15", "--disc", "-39", "--json"),
     ("check", "--level", "32", "--disc", "-219", "--oracle"),
+    ("check", "--level", "32", "--disc", "-219", "--oracle", "--json"),
     _SCAN + ("--parallel", "1"),
     _SCAN + ("--parallel", "2"),
     _SCAN + ("--good-only", "--parallel", "1"),
@@ -65,7 +65,9 @@ DIGESTS = {
     "check --level 15 --disc -39 --json":
         "9028141c43c9ae046e1e8baccf6a149cd9e9537e57e054b4aaa5b54abe9b700c",
     "check --level 32 --disc -219 --oracle":
-        "be9fa46e387e264b332169dbecca73eee14edd68a0cd7a6a666280ae5ef8bb33",
+        "15baa165da2597ec33ac52e5439cb64f2a36f92683f1428e3b5f67245be4e00a",
+    "check --level 32 --disc -219 --oracle --json":
+        "992adcc4fc34f48b4535475cce16529bfc634894413c774ae89ea9edcbb00160",
     "scan --level 32 --from -3 --to -400 --parallel 1":
         "a13c516b93936bf1617e86492f92d2e0a9a93928be2fc52cb5db2c71f5a2d16e",
     "scan --level 32 --from -3 --to -400 --parallel 2":
@@ -79,11 +81,11 @@ DIGESTS = {
     "scan --level 32 --from -3 --to -400 --good-only --json --parallel 2":
         "0bdc671fda02b24447bc89d2eb040429acf44ae144adc92458acf7281fe9af34",
     "scan --level 17 --from -3 --to -200 --good-only --oracle --parallel 1":
-        "f5f1d9469fe56d57f94d8b7af22bfee419df5fc2afad964ce0d9e7878d44f796",
+        "9ac06169a89d2973f5f0b9021d2b1d6ee55a595400caf460d6e373f64ea65fe3",
     "scan --level 49 --from -3 --to -150 --good-only --oracle --parallel 2":
-        "f256d61d4767049f01d2a9ef7237b874d83bd04b4a06e3cf82be3a75fa5d2e25",
+        "73e47f63a86b0e70e3d09e83b655344b9ffbcab6c1aae95eb057384305b9f3d6",
     "scan --level 11 --from -3 --to -300 --good-only --oracle --parallel 1":
-        "722e2b67dfb73c4f815f23b2518c96ea4a34a7e96aaaa10e7e320737286613cb",
+        "7f342f1ead13532e713bb024eb8e3da592dc24fe5b56af4f59b1820a1df8432d",
     "congruent 11":
         "0043dab8bec013f32f1a90b704d72dc5124ace00eff184d0da1594f9d10a144f",
     "cubes 7":

@@ -1,4 +1,5 @@
-"""Newform coefficient generation (eta quotients, point counts, Hecke
+"""The numeric series of lcrit.series, the exact oracle's independent
+check: newform coefficient generation (eta quotients, point counts, Hecke
 extension) and the truncated central-value estimate with rigorous tails."""
 
 import hashlib
@@ -10,12 +11,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lcrit import oracle
+from lcrit import series
 from lcrit.arith import factorize, is_fundamental_discriminant, is_prime, kronecker
 from lcrit.criterion import LEVELS
 from lcrit.errors import PreconditionError
 from lcrit.newformdata import load_newform_data
-from lcrit.oracle import (
+from lcrit.series import (
     T_NONZERO,
     T_ZERO,
     TERM_CAP,
@@ -79,8 +80,8 @@ def test_newform_coefficients_need_a_term(monkeypatch):
     # 17 (point counts) or 32 (eta quotient)
     def refuse(*args):
         raise AssertionError(f"computed {args}")
-    monkeypatch.setattr(oracle, "curve_ap", refuse)
-    monkeypatch.setattr(oracle, "eta_coefficients", refuse)
+    monkeypatch.setattr(series, "curve_ap", refuse)
+    monkeypatch.setattr(series, "eta_coefficients", refuse)
     for level in (32, 17):
         for m in (0, -5, TERM_CAP + 1):
             with pytest.raises(PreconditionError):
@@ -142,10 +143,10 @@ def test_curve_ap_across_the_reduction_guard():
 
 def test_extend_worked_values():
     ap = {2: 0, 3: 0, 5: -2, 7: 0, 11: 0, 13: 6, 17: 2, 19: 0, 23: 0}
-    series = extend_multiplicatively(ap, 32, 25)
-    assert series.a[1] == 1
-    assert series.a[25] == (-2) ** 2 - 5 * 1
-    assert series.a[10] == 0
+    coeffs = extend_multiplicatively(ap, 32, 25)
+    assert coeffs.a[1] == 1
+    assert coeffs.a[25] == (-2) ** 2 - 5 * 1
+    assert coeffs.a[10] == 0
     with pytest.raises(PreconditionError):
         extend_multiplicatively({2: 0}, 32, 10)  # no a_3 supplied
 
@@ -153,8 +154,8 @@ def test_extend_worked_values():
 def test_hecke_recursion_and_multiplicativity():
     rng = random.Random(50901)
     for level in (11, 17, 32, 49):
-        series = newform_coefficients(level, 3000)
-        a = series.a
+        coeffs = newform_coefficients(level, 3000)
+        a = coeffs.a
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 47, 53):
             if p * p <= 3000:
                 if level % p == 0:
@@ -170,10 +171,10 @@ def test_hecke_recursion_and_multiplicativity():
 
 def test_hasse_bound():
     for level in LEVELS:
-        series = newform_coefficients(level, 10 ** 4)
+        coeffs = newform_coefficients(level, 10 ** 4)
         for p in range(2, 10 ** 4 + 1):
             if is_prime(p) and level % p:
-                assert series.a[p] ** 2 <= 4 * p, (level, p)
+                assert coeffs.a[p] ** 2 <= 4 * p, (level, p)
 
 
 def test_eta_agrees_with_point_counts():
@@ -266,7 +267,7 @@ def test_twisted_preconditions():
             list(estimate_l_values(32, ds))
 
 
-def _count_builds(monkeypatch, build=oracle.newform_coefficients):
+def _count_builds(monkeypatch, build=series.newform_coefficients):
     """Record the m of every newform_coefficients call the oracle makes,
     then pass it on to `build`."""
     built = []
@@ -274,7 +275,7 @@ def _count_builds(monkeypatch, build=oracle.newform_coefficients):
     def counted(level, m):
         built.append(m)
         return build(level, m)
-    monkeypatch.setattr(oracle, "newform_coefficients", counted)
+    monkeypatch.setattr(series, "newform_coefficients", counted)
     return built
 
 
@@ -365,7 +366,7 @@ def test_chi_vector_is_kronecker():
         if not is_fundamental_discriminant(d):
             continue
         for m in {1, abs(d) - 1, abs(d), abs(d) + 1, 3 * abs(d)}:
-            chi = oracle._chi_vector(d, m)
+            chi = series._chi_vector(d, m)
             assert chi.tolist() == [kronecker(d, n) for n in range(1, m + 1)], (d, m)
 
 
@@ -374,14 +375,14 @@ def test_pairwise_sum_is_numpy_sum():
     # float(np.sum(x)) bit for bit at every split: below 8 terms, around the
     # 128-term block, around one leaf, across several leaves and at a
     # workload-sized series; a numpy that sums another way fails here
-    leaf = oracle._SUM_LEAF
+    leaf = series._SUM_LEAF
     rng = np.random.default_rng(24)
     lengths = [*range(1, 10), 127, 128, 129, leaf - 1, leaf, leaf + 1, 2 * leaf + 7, 300_007]
     for n in lengths:
         # signs and 60 binary orders of magnitude, so the order of the
         # additions shows in the low bits
         x = rng.standard_normal(n) * np.exp2(rng.uniform(-30, 30, n))
-        got = oracle._pairwise_sum(lambda lo, hi: x[lo:hi], 0, n)
+        got = series._pairwise_sum(lambda lo, hi: x[lo:hi], 0, n)
         assert got.hex() == float(np.sum(x)).hex(), n
     assert float(np.sum(x[::-1])).hex() != float(np.sum(x)).hex()
 
@@ -421,5 +422,5 @@ def test_oracle_memory_bounds():
     # leaf of terms plus chi as int8, not m-length temporaries
     m = 300_000
     assert _traced_peak(eta_coefficients, 15, m) <= 1.25 * 8 * (m + 1)
-    series = newform_coefficients(32, default_terms(32, -8059))
-    assert _traced_peak(twisted_l_value, -8059, series) <= 0.25 * series.a.nbytes
+    coeffs = newform_coefficients(32, default_terms(32, -8059))
+    assert _traced_peak(twisted_l_value, -8059, coeffs) <= 0.25 * coeffs.a.nbytes

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from lcrit import criterion, oracle, quadforms
+from lcrit import criterion, oracle, quadforms, series
 from lcrit.arith import is_prime
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -27,8 +27,16 @@ def test_patched_names_resolve():
             (module_name, attr)
 
 
-def _traced(call):
-    tracer = _layers().Tracer()
+def _traced(call, series_names=False):
+    """The per-name stats of call() under the trace.  With series_names the
+    trace wraps the series' own module globals in place of the lcrit.oracle
+    names that resolve to them, so calls inside lcrit.series are seen."""
+    layers = _layers()
+    if series_names:
+        layers.PATCHES = tuple(
+            ("lcrit.series", attr, *rest) if module == "lcrit.oracle" and hasattr(series, attr)
+            else (module, attr, *rest) for module, attr, *rest in layers.PATCHES)
+    tracer = layers.Tracer()
     tracer.install()
     try:
         call()
@@ -38,7 +46,7 @@ def _traced(call):
 
 
 def test_curve_route_calls_curve_ap_per_prime():
-    stats = _traced(lambda: oracle.newform_coefficients(17, 500))
+    stats = _traced(lambda: series.newform_coefficients(17, 500), series_names=True)
     primes = [p for p in range(2, 501) if is_prime(p)]  # 17, the bad prime, included
     assert stats["oracle.newform_coefficients"].calls == 1
     assert stats["oracle.curve_ap"].calls == len(primes)
@@ -46,10 +54,24 @@ def test_curve_route_calls_curve_ap_per_prime():
 
 
 def test_estimate_goes_through_traced_layers():
-    stats = _traced(lambda: oracle.estimate_l_value(32, -11))
+    stats = _traced(lambda: series.estimate_l_value(32, -11), series_names=True)
     for name in ("oracle.estimate_l_value", "oracle.newform_coefficients",
                  "oracle.eta_coefficients", "oracle.twisted_l_value"):
         assert stats[name].calls == 1, name
+
+
+def test_exact_oracle_goes_through_traced_names():
+    # the exact oracle checks D and reads chi_D at primes through the names
+    # the trace wraps, and builds no coefficient series
+    d = -8059
+    oracle._functional(32)  # built once per level, outside the traced call
+    stats = _traced(lambda: oracle.estimate_l_value(32, d))
+    assert stats["oracle.estimate_l_value"].calls == 1
+    assert stats["arith.is_fundamental_discriminant"].calls == 1
+    primes = [q for q in range(2, -d // 2 + 1) if is_prime(q)]
+    assert stats["arith.kronecker"].calls == len(primes) + 1  # and w(E_D) = chi_D(-N)
+    for name in ("oracle.newform_coefficients", "oracle.twisted_l_value"):
+        assert stats[name].calls == 0, name
 
 
 def test_f_sum_checks_d0_once_and_builds_no_form():
