@@ -193,6 +193,8 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
     if not as_json:
         fields = SCAN_FIELDS if with_oracle else SCAN_FIELDS[:-2]
         print(",".join(fields), flush=True)
+    if with_oracle:
+        from . import oracle  # once here, not again in each forked worker
     with _scan_rows(jobs, parallel) as rows:
         _emit_scan(rows, as_json)
 
@@ -344,5 +346,22 @@ def main(argv=None):
         _fail(EXIT_INTERNAL, _internal(exc))
 
 
+def run():
+    """The process entry of `python -m lcrit.cli` and the `lcrit` script:
+    main(), then os._exit with the status sys.exit would give, once stdout
+    and stderr are flushed, so the process skips interpreter teardown."""
+    try:
+        main()
+        status = 0
+    except SystemExit as exc:  # main exits with an int or None
+        status = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader left, as main's guard treats it
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -6,11 +6,10 @@ sum(d*e) = 24, so its expansion is a holomorphic cusp form starting at q;
 tests/test_oracle.py checks this on the table below.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class NewformSource:
+class NewformSource(NamedTuple):
     """Coefficient source for one level: eta exponents and/or a curve model."""
 
     level: int

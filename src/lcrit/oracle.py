@@ -23,6 +23,7 @@ Standard library only.
 """
 
 from enum import Enum
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -140,46 +141,27 @@ def _point_count_ap(weierstrass: tuple, p: int) -> int:
 
 def _minus_functionals(n: int, cls: list, reps: list) -> list:
     """A basis of the functionals on P^1(Z/n) that kill x + xS, x + x* and
-    x + x*tau + x*tau^2, each a list of integer values per class."""
-    def image(i, f):
-        c, d = f(*reps[i])
-        return cls[c % n * n + d % n]
-
-    s = [image(i, lambda c, d: (d, -c)) for i in range(len(reps))]
-    star = [image(i, lambda c, d: (-c, d)) for i in range(len(reps))]
-    tau = [image(i, lambda c, d: (d, -c - d)) for i in range(len(reps))]
-    # the two-term relations: phi(x) = sign[x] * v[var[x]], sign 0 where
-    # they force phi(x) = -phi(x)
-    var, sign = [0] * len(reps), [None] * len(reps)
-    width = 0
-    for i in range(len(reps)):
-        if sign[i] is not None:
-            continue
-        orbit = {}
-        killed = False
-        for j, e in ((i, 1), (s[i], -1), (star[i], -1), (s[star[i]], 1)):
-            killed |= orbit.setdefault(j, e) != e
-        for j, e in orbit.items():
-            var[j], sign[j] = width, 0 if killed else e
-        width += not killed
-    # the three-term relations, one row per tau-orbit
+    x + x*tau + x*tau^2, each a list of integer values per class: the kernel
+    of one row per symbol x and relation, duplicate rows dropped."""
     rows = set()
-    for i in range(len(reps)):
-        row = [0] * width
-        for j in (i, tau[i], tau[tau[i]]):
-            if sign[j]:
-                row[var[j]] += sign[j]
-        rows.add(tuple(row))
-    return [[sign[j] * v[var[j]] if sign[j] else 0 for j in range(len(reps))]
-            for v in _kernel([list(r) for r in rows if any(r)], width)]
+    for c, d in reps:
+        for terms in (((c, d), (d, -c)), ((c, d), (-c, d)),
+                      ((c, d), (d, -c - d), (-c - d, c))):
+            row = [0] * len(reps)
+            for x, y in terms:
+                row[cls[x % n * n + y % n]] += 1
+            rows.add(tuple(row))
+    return _kernel(rows, len(reps))
 
 
+@cache
 def _eigen_functional(level: int) -> tuple:
     """phi for the level's newform as a flat table, entry c*N + d the value
     at (c:d) (0 where gcd(c, d, N) > 1), scaled to coprime integers with
     the sign of the first nonzero L_alg(D) over D = -3, -4, -7, ... made
     positive.  Raises RuntimeError unless ker(phi o T_p - a_p*phi) on the
-    minus functionals is one-dimensional."""
+    minus functionals is one-dimensional.  Built once per level and
+    process."""
     n = level
     cls, reps = _projective_line(n)
     basis = _minus_functionals(n, cls, reps)
@@ -204,17 +186,6 @@ def _eigen_functional(level: int) -> tuple:
             l_alg = _twisted_sum(phi, n, d)
             if l_alg:
                 return phi if l_alg > 0 else tuple(-x for x in phi)
-    return phi
-
-
-_FUNCTIONALS = {}
-
-
-def _functional(level: int) -> tuple:
-    """_eigen_functional(level), built once per level and process."""
-    phi = _FUNCTIONALS.get(level)
-    if phi is None:
-        phi = _FUNCTIONALS[level] = _eigen_functional(level)
     return phi
 
 
@@ -272,7 +243,7 @@ def estimate_l_value(level: int, d: int) -> LValueEstimate:
         raise PreconditionError(f"no newform registered for level {level}")
     if d >= 0 or not is_fundamental_discriminant(d):
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    l_alg = _twisted_sum(_functional(level), level, d)
+    l_alg = _twisted_sum(_eigen_functional(level), level, d)
     g = gcd(d, level)
     if g > 1:
         return LValueEstimate(d, l_alg, None, OracleVerdict.INDETERMINATE, (

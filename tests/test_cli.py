@@ -4,7 +4,8 @@ worker counts, the parent's share of the rows, no child outliving a scan, a
 failing worker naming its error, tables streaming their rows, oracle columns,
 reference-table comparison, no module loaded from outside the standard
 library on any path, --oracle included, no multiprocessing, dataclasses or
-json on the exact paths, and README naming every option and no other."""
+json on the exact paths, no dataclasses under --oracle and the oracle loaded
+before the workers fork, and README naming every option and no other."""
 
 import argparse
 import ast
@@ -344,33 +345,29 @@ def test_reader_leaving_mid_scan_leaves_no_child(tmp_path):
     assert proc.returncode == 0 and err == b"", err
 
 
-def test_scan_oracle_builds_once_per_window(monkeypatch):
+def test_scan_oracle_builds_once_per_window():
     # phi is built once per level and process, however many rows and scans
-    built = []
-    build = oracle._eigen_functional
+    oracle._eigen_functional.cache_clear()
 
-    def counted(level):
-        built.append(level)
-        return build(level)
-    monkeypatch.setattr(oracle, "_FUNCTIONALS", {})
-    monkeypatch.setattr(oracle, "_eigen_functional", counted)
+    def built():
+        return oracle._eigen_functional.cache_info().misses
     # a window with no accepted D: header only, nothing built
     r = invoke("scan", "--level", "32", "--from", "-1", "--to", "-2", "--good-only",
                "--oracle", "--parallel", "1")
     assert r.exit_code == 0, r.output
     assert r.output.strip() == ("D,f_x1,f_x2,count_x1,count_x2,verdict,"
                                 "oracle_verdict,oracle_value")
-    assert built == []
+    assert built() == 0
     for _ in range(2):
         r = invoke("scan", "--level", "32", "--from", "-3", "--to", "-35", "--good-only",
                    "--oracle", "--parallel", "1")
         assert r.exit_code == 0
         assert [line.split(",")[0] for line in r.output.splitlines()[1:]] == ["-11", "-19", "-35"]
-        assert built == [32]
+        assert built() == 1
     r = invoke("scan", "--level", "27", "--from", "-3", "--to", "-35", "--good-only",
                "--oracle", "--parallel", "1")
     assert r.exit_code == 0 and len(r.output.splitlines()) > 2
-    assert built == [32, 27]
+    assert built() == 2
 
 
 def test_scan_csv_and_json_rows_agree():
@@ -593,9 +590,10 @@ def test_console_script_help(tmp_path):
 
 # Runs in a fresh interpreter and reports on stderr, after each step, the
 # top-level modules loaded since startup that are neither the standard
-# library's nor lcrit, and which of multiprocessing, dataclasses and json are
-# loaded.  `--help` exits 0.  `_scan_row` runs through a spy that fails the
-# row if numpy is mapped in a forked worker, one whose pid is not the probe's.
+# library's nor lcrit, and which of multiprocessing, dataclasses, json and
+# lcrit.oracle are loaded.  `--help` exits 0.  `_scan_row` runs through a spy
+# that fails the row in a forked worker, one whose pid is not the probe's, if
+# numpy is mapped there, or if an oracle row finds lcrit.oracle not yet loaded.
 NUMPY_PROBE = """\
 import os
 import sys
@@ -606,7 +604,7 @@ probe_pid = os.getpid()
 def report(step):
     new = {{name.partition(".")[0] for name in set(sys.modules) - startup}}
     foreign = new - set(sys.stdlib_module_names) - {{"lcrit"}}
-    heavy = {{"multiprocessing", "dataclasses", "json"}} & set(sys.modules)
+    heavy = {{"multiprocessing", "dataclasses", "json", "lcrit.oracle"}} & set(sys.modules)
     print("loaded", repr([step, sorted(foreign), sorted(heavy)]), file=sys.stderr, flush=True)
 
 import lcrit
@@ -616,8 +614,11 @@ report("import lcrit.cli")
 from lcrit import cli
 
 def worker_row(job):
-    if os.getpid() != probe_pid and "numpy" in sys.modules:
-        raise RuntimeError("numpy is loaded in a forked worker")
+    if os.getpid() != probe_pid:
+        if "numpy" in sys.modules:
+            raise RuntimeError("numpy is loaded in a forked worker")
+        if len(job) > 2 and "lcrit.oracle" not in sys.modules:
+            raise RuntimeError("a forked worker imports lcrit.oracle itself")
     return scan_row(job)
 
 scan_row, cli._scan_row = cli._scan_row, worker_row
@@ -632,8 +633,8 @@ for args in {runs!r}:
 
 def _numpy_probe(tmp_path, *runs):
     """(stdout, {step: modules outside the standard library and lcrit loaded
-    by the end of it}, {step: which of multiprocessing, dataclasses and json
-    are loaded}) of NUMPY_PROBE over the runs."""
+    by the end of it}, {step: which of multiprocessing, dataclasses, json and
+    lcrit.oracle are loaded}) of NUMPY_PROBE over the runs."""
     proc = run_python(["-c", NUMPY_PROBE.format(runs=[list(r) for r in runs])],
                       tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -659,15 +660,21 @@ def test_startup_and_exact_paths_load_no_numpy(tmp_path):
 
 
 def test_oracle_paths_load_only_the_standard_library(tmp_path):
-    out, steps, _ = _numpy_probe(tmp_path, ("check", "--level", "32", "--disc", "-219",
-                                            "--oracle", "--json"))
+    # and no dataclasses: the oracle's records are NamedTuples too
+    check = ("check", "--level", "32", "--disc", "-219", "--oracle", "--json")
+    out, steps, heavy = _numpy_probe(tmp_path, check)
     assert not any(steps.values()), steps
+    assert heavy.pop(" ".join(check)) == ["json", "lcrit.oracle"]
+    assert not any(heavy.values()), heavy
     est = estimate_l_value(32, -219)
     assert json.loads(out)["oracle"]["value"] == est.value
+    # the spy also fails a forked worker that imports the oracle itself
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
             "--oracle", "--parallel", "2")
-    out, steps, _ = _numpy_probe(tmp_path, scan)
+    out, steps, heavy = _numpy_probe(tmp_path, scan)
     assert not any(steps.values()), steps
+    assert heavy.pop(" ".join(scan)) == ["lcrit.oracle"]
+    assert not any(heavy.values()), heavy
     lines = out.splitlines()
     assert len(lines) > 2
     for line in lines[1:]:

@@ -4,6 +4,7 @@ the criterion and against the numeric series of lcrit.series, the root
 number at the square levels, and the rows where the registered criterion and
 L_alg disagree."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -36,6 +37,23 @@ DISAGREEMENTS = {11: (83, 0, 0), 14: (52, 24, 2), 15: (26, 0, 4), 17: (53, 0, 0)
                  19: (84, 0, 0), 20: (23, 0, 4), 21: (29, 0, 0), 24: (22, 0, 3),
                  27: (68, 0, 0), 32: (59, 0, 0), 36: (22, 0, 22), 49: (79, 0, 70)}
 
+# sha256 of repr(_eigen_functional(N)): the relations, the T_p eigenvalue,
+# the scaling and the sign fix phi, so no rewrite of its solver may move these
+PHI_DIGESTS = {
+    11: "fdb96a213c5c72b83ff9724694475fd3e5767f761ac9a2ff28a9f503d9f6a97a",
+    14: "a6310c3b5549fcbee48da06437a60a8e449806ff648e54cc7b8abe2941adf9c5",
+    15: "1badaafe56c61995685ed64716684626e38b49a3e6a802edae4cb9a21f4daa40",
+    17: "71c40807baf913ca21b1bb2db195bc4e56733ae8c92b11e63981565f7166908f",
+    19: "7d601343566fe27b39563831494f49a426273490b7c58ca7e5a9606979ff15c9",
+    20: "6e0d59289b02e9b9c88fc5036471ac28c27a3d8e48df4516da40c81622509244",
+    21: "eafe6322f76ad84d70bc14894c071e1c5b05e74e9ac46d79779be4a420dde83c",
+    24: "c01c2662b4d842fe62ab49f458779b37b686644de39b50f428a5b33739ef9e10",
+    27: "0e02fb1aa38bb7ba87a78296f804f6711e2f74da785affa7c48427cc2ade4e47",
+    32: "840348aee193ce0910df24b1ae03ee07b738c815c3bb0d3c0c2f0bceec02698e",
+    36: "e3d55a8863a23585276811ff69c5f4ccd0bdf3104a68c2ffba03b0ec10a80b22",
+    49: "19adf0d9e2a2c2fa291396db5f05f3914a3783543597a8cd2d43b55232b00fe7",
+}
+
 # L_alg at one oracle-workload D per level
 L_ALG = {(11, -8391): 8, (15, -8644): 0, (19, -4219): 18, (27, -8440): 600,
          (32, -8059): 676, (17, -303): 8, (49, -244): 0}
@@ -56,7 +74,8 @@ def test_phi_kills_the_relations():
         assert len(reps) == round(n * np.prod([1 + 1 / p for p in range(2, n + 1)
                                                if is_prime(p) and n % p == 0]))
         assert len(oracle._minus_functionals(n, cls, reps)) == MINUS_DIMENSION[level]
-        phi = oracle._functional(level)
+        phi = oracle._eigen_functional(level)
+        assert hashlib.sha256(repr(phi).encode()).hexdigest() == PHI_DIGESTS[level], level
         assert gcd(*phi) == 1
 
         def at(c, d):
@@ -76,7 +95,7 @@ def test_hecke_eigenvalues_are_curve_ap():
         n = level
         _, reps = oracle._projective_line(n)
         c, d = np.array(reps).T
-        phi = np.array(oracle._functional(level))
+        phi = np.array(oracle._eigen_functional(level))
         curve = CurveModel.from_source(load_newform_data()[level])
         for ell, (a, b, cc, dd) in heilbronn.items():
             if n % ell == 0:

@@ -64,8 +64,10 @@ def test_exact_oracle_goes_through_traced_names():
     # the exact oracle checks D and reads chi_D at primes through the names
     # the trace wraps, and builds no coefficient series
     d = -8059
-    oracle._functional(32)  # built once per level, outside the traced call
+    oracle._eigen_functional(32)  # built once per level, outside the traced call
+    misses = oracle._eigen_functional.cache_info().misses
     stats = _traced(lambda: oracle.estimate_l_value(32, d))
+    assert oracle._eigen_functional.cache_info().misses == misses
     assert stats["oracle.estimate_l_value"].calls == 1
     assert stats["arith.is_fundamental_discriminant"].calls == 1
     primes = [q for q in range(2, -d // 2 + 1) if is_prime(q)]
