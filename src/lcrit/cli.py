@@ -195,6 +195,8 @@ def scan(level, from_d, to_d, good_only, parallel, as_json, with_oracle):
         print(",".join(fields), flush=True)
     if with_oracle:
         from . import oracle  # once here, not again in each forked worker
+        if jobs:
+            oracle._eigen_functional(level)  # phi too, inherited by the workers
     with _scan_rows(jobs, parallel) as rows:
         _emit_scan(rows, as_json)
 

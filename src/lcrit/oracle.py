@@ -42,7 +42,6 @@ class LValueEstimate(NamedTuple):
     """The oracle's answer for one D: the exact L_alg(D), the root number
     w(E_D) = chi_D(-N) (None when gcd(D, N) > 1) and the verdict."""
 
-    d: int
     l_alg: int
     root_number: int | None
     verdict: OracleVerdict
@@ -246,11 +245,11 @@ def estimate_l_value(level: int, d: int) -> LValueEstimate:
     l_alg = _twisted_sum(_eigen_functional(level), level, d)
     g = gcd(d, level)
     if g > 1:
-        return LValueEstimate(d, l_alg, None, OracleVerdict.INDETERMINATE, (
+        return LValueEstimate(l_alg, None, OracleVerdict.INDETERMINATE, (
             f"gcd(|D|, N) = {g} > 1: L_alg twists the newform by chi_D and "
             "omits E_D's Euler factors at the common primes; not decided",))
     verdict = OracleVerdict.ZERO if l_alg == 0 else OracleVerdict.NONZERO
-    return LValueEstimate(d, l_alg, kronecker(d, -level), verdict)
+    return LValueEstimate(l_alg, kronecker(d, -level), verdict)
 
 
 # The coefficient-series oracle lives in lcrit.series, which needs numpy.

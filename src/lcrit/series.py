@@ -1,7 +1,9 @@
 """Truncated-L-series estimate of the twisted central value, with numpy.
 
 The CLI's oracle is the exact modular-symbol sum of lcrit.oracle; this
-series is kept only as the tests' independent numeric check of it.
+series is kept only as the tests' independent numeric check of it, a plain
+reference whose kernels are written for clarity, not tuned for speed or
+memory.
 
 Builds the level's weight-2 newform coefficients (eta-quotient expansion
 where one exists, else point counts on the registered Weierstrass model
@@ -69,11 +71,6 @@ def _pentagonal(d: int, limit: int):
     return np.array(exps, dtype=np.int64), np.array(signs, dtype=np.int64)
 
 
-# terms per in-place block of an eta factor pass: below about 2^13 the
-# per-block Python loop slows the build down, above it the build time is flat
-_ETA_BLOCK = 1 << 15
-
-
 def _check_length(m: int):
     """A series has 1..TERM_CAP coefficients; checked before any is built."""
     if m < 1:
@@ -86,13 +83,10 @@ def eta_coefficients(level: int, m: int) -> CoefficientSeries:
     """Expand the registered eta quotient for the level through q^m and
     return a_1..a_m.  With shift s = sum(d*e)/24 and g the gcd of the d, the
     quotient is q^s times a series in Q = q^g, expanded to degree (m - s)//g
-    and written to a[s::g]: at g = 1 straight into a[s:], else into a compact
-    series of (m - s)//g + 1 terms scattered at the end, since passes over a
-    strided view run slower.  Of its unit factors prod (1 - Q^(n*d/g)), four
-    at weight 2, the two smallest d multiply as sparse pentagonal series and
-    each further one in place, top block first: block [lo, hi) of the product
-    reads the series only below hi, where nothing is overwritten yet, so a
-    pass holds one block-sized accumulator besides the series."""
+    in a compact array and written to a[s::g].  Of its unit factors
+    prod (1 - Q^(n*d/g)), four at weight 2, the two smallest d multiply as
+    sparse pentagonal series, and each further one is applied by adding the
+    shifted, signed copies of the product so far."""
     _check_length(m)
     src = load_newform_data().get(level)
     if src is None or not src.eta:
@@ -101,31 +95,21 @@ def eta_coefficients(level: int, m: int) -> CoefficientSeries:
     g = math.gcd(*(d for d, _ in src.eta))
     deg = (m - shift) // g
     first, second, *rest = sorted(d // g for d, e in src.eta for _ in range(e))
-    a = np.zeros(m + 1, dtype=np.int64)
-    arr = a[shift:] if g == 1 else np.zeros(deg + 1, dtype=np.int64)
+    arr = np.zeros(deg + 1, dtype=np.int64)
     exps, signs = _pentagonal(second, deg)
     for x, s in zip(*_pentagonal(first, deg)):
         n = np.searchsorted(exps, deg - x, side="right")
         arr[x + exps[:n]] += s * signs[:n]
-    acc = np.empty(min(_ETA_BLOCK, deg + 1), dtype=np.int64)
     for d in rest:
-        # (exponent, sign) past the constant term, which is the copy below
-        factor = [(int(x), int(s)) for x, s in zip(*_pentagonal(d, deg))][1:]
-        for lo in range(deg // _ETA_BLOCK * _ETA_BLOCK, -1, -_ETA_BLOCK):
-            hi = min(lo + _ETA_BLOCK, deg + 1)
-            out = acc[:hi - lo]
-            out[:] = arr[lo:hi]
-            for x, s in factor:
-                if x >= hi:
-                    break
-                start = max(lo, x)
-                if s == 1:
-                    out[start - lo:] += arr[start - x:hi - x]
-                else:
-                    out[start - lo:] -= arr[start - x:hi - x]
-            arr[lo:hi] = out
-    if g > 1:
-        a[shift::g] = arr
+        # arr already holds the product times the factor's constant term 1
+        prod = arr.copy()
+        for x, s in zip(*_pentagonal(d, deg)):
+            if x and s == 1:
+                arr[x:] += prod[:deg + 1 - x]
+            elif x:
+                arr[x:] -= prod[:deg + 1 - x]
+    a = np.zeros(m + 1, dtype=np.int64)
+    a[shift::g] = arr
     return CoefficientSeries(level, a)
 
 
@@ -261,7 +245,6 @@ def newform_coefficients(level: int, m: int) -> CoefficientSeries:
 
 @dataclass(frozen=True)
 class SeriesEstimate:
-    d: int
     value: float
     terms_used: int
     tail_bound: float
@@ -278,44 +261,11 @@ def default_terms(level: int, d: int) -> int:
 
 
 def _chi_vector(d: int, m: int) -> np.ndarray:
-    """kronecker(d, n) for n = 1..m as int8, read off one period (chi_d has period
-    |d| for fundamental d), of which only residues up to m are computed.
-    chi_d is completely multiplicative, so the period is filled from its
-    primes q: chi(q) = 0 zeroes the multiples of q, and chi(q) = -1 negates
-    the multiples of each power of q."""
-    period = np.ones(min(abs(d), m + 1), dtype=np.int8)
-    period[0] = 0
-    for q in _prime_sieve(len(period) - 1):
-        q = int(q)
-        c = kronecker(d, q)
-        if c == 0:
-            period[::q] = 0
-        elif c == -1:
-            qk = q
-            while qk < len(period):
-                period[::qk] *= -1
-                qk *= q
+    """kronecker(d, n) for n = 1..m, read off one period (chi_d has period
+    |d| for fundamental d), of which only residues up to m are computed."""
+    period = np.array([kronecker(d, n) for n in range(min(abs(d), m + 1))], dtype=np.int64)
     # chi(1), chi(2), ... from period[1:] and then period[0], repeated
     return np.resize(np.roll(period, -1), m)
-
-
-# terms the series sum builds at a time
-_SUM_LEAF = 1 << 12
-
-
-def _pairwise_sum(terms, lo: int, hi: int) -> float:
-    """float(np.sum(terms(lo, hi))) bit for bit, where terms(i, j) returns
-    the contiguous float64 terms i..j-1, building at most _SUM_LEAF of them
-    at a time.  It reproduces numpy's order: numpy sums a contiguous float64
-    array pairwise (Higham, SIAM J. Sci. Comput. 14, 1993), and above 128
-    terms splits n at n//2 rounded down to a multiple of 8 and adds the two
-    halves' sums.  This recurses on that same split and hands each leaf to
-    np.sum, so every addition is numpy's own, in numpy's order."""
-    n = hi - lo
-    if n <= _SUM_LEAF:
-        return float(np.sum(terms(lo, hi)))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(terms, lo, lo + half) + _pairwise_sum(terms, lo + half, hi)
 
 
 # sup over n >= 1 of sigma_0(n)/sqrt(n) is attained at n = 12 (6/sqrt(12) ~ 1.733),
@@ -334,15 +284,9 @@ def twisted_l_value(d: int, coeffs: CoefficientSeries) -> SeriesEstimate:
     m = len(coeffs)
     c = level * d * d
     decay = 2 * math.pi / math.sqrt(c)
-    a = coeffs.a
-    chi = _chi_vector(d, m)
-
-    def terms(lo, hi):
-        # a_n * chi(n) * exp(-decay*n) / n for n = lo+1..hi
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        return a[lo + 1:hi + 1] * chi[lo:hi] * (np.exp(-decay * n) / n)
-
-    value = 2.0 * _pairwise_sum(terms, 0, m)
+    n = np.arange(1, m + 1, dtype=np.float64)
+    terms = coeffs.a[1:] * _chi_vector(d, m) * (np.exp(-decay * n) / n)
+    value = 2.0 * float(np.sum(terms))
     r = math.exp(-decay)
     tail = 2.0 * _COEFF_SLOPE * r ** (m + 1) / (1.0 - r)
     if abs(value) + tail < T_ZERO:
@@ -357,7 +301,7 @@ def twisted_l_value(d: int, coeffs: CoefficientSeries) -> SeriesEstimate:
                        "conductor N*D^2 is approximate")
     if d % 2 == 0:
         caveats.append("even D: conductor N*D^2 used as decay scale only")
-    return SeriesEstimate(d, value, m, tail, verdict, tuple(caveats))
+    return SeriesEstimate(value, m, tail, verdict, tuple(caveats))
 
 
 def estimate_l_values(level: int, ds):

@@ -1,4 +1,11 @@
+import os
+
 import pytest
+
+# numpy's OpenBLAS starts threads when it loads, and the in-process CLI tests
+# fork this process for their scans and tables: capped here, before any test
+# module imports numpy, the process stays single-threaded when it forks
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def pytest_addoption(parser):

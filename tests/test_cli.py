@@ -5,7 +5,8 @@ failing worker naming its error, tables streaming their rows, oracle columns,
 reference-table comparison, no module loaded from outside the standard
 library on any path, --oracle included, no multiprocessing, dataclasses or
 json on the exact paths, no dataclasses under --oracle and the oracle loaded
-before the workers fork, and README naming every option and no other."""
+and phi built before the workers fork, one thread in the process the
+in-process runs fork, and README naming every option and no other."""
 
 import argparse
 import ast
@@ -45,9 +46,17 @@ if __name__ == "__main__":
 """
 
 
+def _os_threads():
+    """The OS threads of this process, None where /proc/self/task is missing."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+
 def invoke(*args):
     """Run `lcrit args` in this process: its exit code, stdout, stderr, and
-    output (stdout then stderr)."""
+    output (stdout then stderr).  Its scans and tables fork this process, so
+    it must have one thread: a threaded fork can deadlock the child, and
+    os.fork only warns of it (Python 3.12+), even under an "error" filter."""
+    assert _os_threads() in (None, 1)
     out, err = io.StringIO(), io.StringIO()
     code = 0
     with redirect_stdout(out), redirect_stderr(err):
@@ -57,6 +66,14 @@ def invoke(*args):
             code = exc.code
     return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
                            output=out.getvalue() + err.getvalue())
+
+
+def test_numpy_starts_no_thread_under_pytest():
+    # conftest.py caps OpenBLAS at one thread before numpy loads
+    if _os_threads() is None:
+        pytest.skip("no /proc/self/task")
+    import numpy  # its OpenBLAS starts worker threads at import unless capped
+    assert _os_threads() == 1
 
 
 def test_check_reports_both_sums():
@@ -593,7 +610,8 @@ def test_console_script_help(tmp_path):
 # library's nor lcrit, and which of multiprocessing, dataclasses, json and
 # lcrit.oracle are loaded.  `--help` exits 0.  `_scan_row` runs through a spy
 # that fails the row in a forked worker, one whose pid is not the probe's, if
-# numpy is mapped there, or if an oracle row finds lcrit.oracle not yet loaded.
+# numpy is mapped there, or if an oracle row finds lcrit.oracle not yet loaded
+# or phi not yet built.
 NUMPY_PROBE = """\
 import os
 import sys
@@ -617,8 +635,11 @@ def worker_row(job):
     if os.getpid() != probe_pid:
         if "numpy" in sys.modules:
             raise RuntimeError("numpy is loaded in a forked worker")
-        if len(job) > 2 and "lcrit.oracle" not in sys.modules:
+        oracle = sys.modules.get("lcrit.oracle")
+        if len(job) > 2 and oracle is None:
             raise RuntimeError("a forked worker imports lcrit.oracle itself")
+        if len(job) > 2 and not oracle._eigen_functional.cache_info().currsize:
+            raise RuntimeError("a forked worker builds phi itself")
     return scan_row(job)
 
 scan_row, cli._scan_row = cli._scan_row, worker_row
@@ -668,7 +689,7 @@ def test_oracle_paths_load_only_the_standard_library(tmp_path):
     assert not any(heavy.values()), heavy
     est = estimate_l_value(32, -219)
     assert json.loads(out)["oracle"]["value"] == est.value
-    # the spy also fails a forked worker that imports the oracle itself
+    # the spy also fails a forked worker that imports the oracle or builds phi itself
     scan = ("scan", "--level", "32", "--from", "-3", "--to", "-250", "--good-only",
             "--oracle", "--parallel", "2")
     out, steps, heavy = _numpy_probe(tmp_path, scan)

@@ -5,7 +5,6 @@ extension) and the truncated central-value estimate with rigorous tails."""
 import hashlib
 import math
 import random
-import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -370,26 +369,9 @@ def test_chi_vector_is_kronecker():
             assert chi.tolist() == [kronecker(d, n) for n in range(1, m + 1)], (d, m)
 
 
-def test_pairwise_sum_is_numpy_sum():
-    # the blocked series sum adds in numpy's own order, so it must equal
-    # float(np.sum(x)) bit for bit at every split: below 8 terms, around the
-    # 128-term block, around one leaf, across several leaves and at a
-    # workload-sized series; a numpy that sums another way fails here
-    leaf = series._SUM_LEAF
-    rng = np.random.default_rng(24)
-    lengths = [*range(1, 10), 127, 128, 129, leaf - 1, leaf, leaf + 1, 2 * leaf + 7, 300_007]
-    for n in lengths:
-        # signs and 60 binary orders of magnitude, so the order of the
-        # additions shows in the low bits
-        x = rng.standard_normal(n) * np.exp2(rng.uniform(-30, 30, n))
-        got = series._pairwise_sum(lambda lo, hi: x[lo:hi], 0, n)
-        assert got.hex() == float(np.sum(x)).hex(), n
-    assert float(np.sum(x[::-1])).hex() != float(np.sum(x)).hex()
-
-
 # float.hex of twisted_l_value(d, newform_coefficients(level, default_terms(level, d))).value
-# for one oracle-workload D per level, recorded from the commit before the
-# blocked series sum: the sum's counterpart of the coefficient digests.  The
+# for one oracle-workload D per level, each one np.sum over the whole term
+# array: the sum's counterpart of the coefficient digests.  The
 # level-15 value is a vanishing twist, whose value is rounding noise.
 L_VALUE_HEX = {
     (11, -8391): "0x1.04ec818649538p-3",
@@ -405,22 +387,3 @@ def test_l_value_bits_pinned():
     for (level, d), value in L_VALUE_HEX.items():
         est = twisted_l_value(d, newform_coefficients(level, default_terms(level, d)))
         assert est.value.hex() == value, (level, d)
-
-
-def _traced_peak(fn, *args):
-    """Peak bytes numpy and Python allocate while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_oracle_memory_bounds():
-    # the eta build holds its one series plus a block, and the series sum a
-    # leaf of terms plus chi as int8, not m-length temporaries
-    m = 300_000
-    assert _traced_peak(eta_coefficients, 15, m) <= 1.25 * 8 * (m + 1)
-    coeffs = newform_coefficients(32, default_terms(32, -8059))
-    assert _traced_peak(twisted_l_value, -8059, coeffs) <= 0.25 * coeffs.a.nbytes
