@@ -78,7 +78,7 @@ def check(level, disc, as_json, with_oracle, dump_forms):
             obj["forms_x1"], obj["forms_x2"] = forms
         if est is not None:
             obj["oracle"] = {"verdict": est.verdict.value, "value": est.value,
-                             "root_number": est.root_number, "caveats": list(est.caveats)}
+                             "root_number": est.root_number}
         print(json.dumps(obj), flush=True)
         return
     print(f"level {level}  D = {disc}  D0 = {row.d0}  Delta = {disc * row.d0}", flush=True)
@@ -96,8 +96,6 @@ def check(level, disc, as_json, with_oracle, dump_forms):
               flush=True)
         if est.root_number is not None:
             print(f"oracle root number: w(E_D) = chi_D(-N) = {est.root_number:+d}", flush=True)
-        for c in est.caveats:
-            print(f"oracle caveat: {c}", flush=True)
 
 
 def _scan_row(job):

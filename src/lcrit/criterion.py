@@ -1,5 +1,5 @@
 """The vanishing criterion: exact genus-character sums over enumerated forms,
-per-level registry data, goodness predicates, and verdicts.
+per-level registry data, the goodness predicate, and verdicts.
 
 For a level N in the registry with auxiliary discriminant D0 and evaluation
 points x1, x2, the central value L(E_D, 1) of the twist by a good fundamental
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import factorize, is_fundamental_discriminant, is_prime, is_square, kronecker
+from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import PreconditionError
 # genus_character is not called here: the benchmark's trace rebinds
 # criterion.genus_character, so the name stays importable from this module
@@ -117,32 +117,6 @@ def f_sum(level: int, d0: int, d: int, x) -> FEvaluation:
         raise PreconditionError(f"D must be a discriminant (0 or 1 mod 4), got {d}")
     # character_sum rejects D*D0 <= 0 and square D*D0
     return FEvaluation(*character_sum(level, d * d0, x, factors))
-
-
-def is_good(level: int, d: int) -> bool:
-    """Goodness rules for odd fundamental D < 0 at level N:
-    (1) N nonsquare: (-4N/|D|) = 1; (2) 2 | N: |D| = 3 (mod 8);
-    (3) p = 7 (mod 8), p | N: (-p/|D|) = -1;
-    (4) p = 3 (mod 8), p^r || N: (-p/|D|) = (-1)^(r+1).
-    Even fundamental D are outside the rules' domain and return False.
-    """
-    if level < 1:
-        raise PreconditionError(f"level must be >= 1, got {level}")
-    if not is_fundamental_discriminant(d) or d >= 0:
-        raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
-    if d % 2 == 0:
-        return False
-    m = -d
-    if not is_square(level) and kronecker(-4 * level, m) != 1:
-        return False
-    if level % 2 == 0 and m % 8 != 3:
-        return False
-    for p, r in factorize(level).items():
-        if p % 8 == 7 and kronecker(-p, m) != -1:
-            return False
-        if p % 8 == 3 and kronecker(-p, m) != (-1) ** (r + 1):
-            return False
-    return True
 
 
 def _meets_clauses(level: int, m: int) -> bool:

@@ -5,12 +5,13 @@ algebraic central value
 
     L_alg(D) = sum over a mod |D| of chi_D(a) * phi({inf, a/|D|})
 
-is an integer, and for gcd(D, N) = 1 the central value L(E_D, 1)*sqrt(|D|)
-is one fixed nonzero multiple of it at each level (Mazur, Tate and
-Teitelbaum, Invent. Math. 84, 1986, section 8; Cremona, Algorithms for
-Modular Elliptic Curves, ch. 2).  So L(E_D, 1) = 0 exactly when L_alg(D) = 0:
-no series, truncation or threshold is involved, and a twist of odd sign
-gives 0 by itself.
+is an integer, and L(f, chi_D, 1)*sqrt(|D|) is one fixed nonzero multiple
+of it at each level, for every D (Mazur, Tate and Teitelbaum, Invent. Math.
+84, 1986, section 8; Cremona, Algorithms for Modular Elliptic Curves,
+ch. 2).  L(E_D, 1) is L(f, chi_D, 1) times finite nonzero Euler factors at
+the primes of gcd(D, N) (none when gcd(D, N) = 1).  So L(E_D, 1) = 0 exactly
+when L_alg(D) = 0: no series, truncation or threshold is involved, and a
+twist of odd sign gives 0 by itself.
 
 phi is f's eigen-functional on the minus quotient of the weight-2 modular
 symbols for Gamma0(N), written on the Manin symbols (c:d) of P^1(Z/N):
@@ -35,7 +36,7 @@ from .newformdata import load_newform_data
 class OracleVerdict(Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
-    INDETERMINATE = "indeterminate"
+    INDETERMINATE = "indeterminate"  # lcrit.series only: the exact oracle decides every D
 
 
 class LValueEstimate(NamedTuple):
@@ -45,7 +46,6 @@ class LValueEstimate(NamedTuple):
     l_alg: int
     root_number: int | None
     verdict: OracleVerdict
-    caveats: tuple = ()
 
     @property
     def value(self) -> float:
@@ -234,22 +234,21 @@ def _twisted_sum(phi: tuple, n: int, d: int) -> int:
 
 
 def estimate_l_value(level: int, d: int) -> LValueEstimate:
-    """L_alg(D) for the level's newform, decided exactly: Zero when it is 0,
-    Nonzero otherwise.  For gcd(D, N) > 1 the sum twists f by chi_D, whose
-    L-value lacks E_D's Euler factors at the common primes; it is reported
-    as Indeterminate."""
+    """L_alg(D) for the level's newform, decided exactly for every D: Zero
+    when it is 0, Nonzero otherwise.  Birch's twist formula gives
+    L(f, chi_D, 1) from the sum for any primitive chi_D.  L(E_D, s) differs
+    from L(f, chi_D, s) only in the Euler factors at p | gcd(D, N), where the
+    twisted series has none and E_D's (1/(1 - a_p/p + 1/p), 1/(1 - a_p/p) or
+    1) are finite and nonzero at s = 1 (Mazur, Tate and Teitelbaum, Invent.
+    Math. 84, 1986, section 8).  The root number chi_D(-N) is w(E_D) when
+    gcd(D, N) = 1, and None otherwise."""
     if level not in load_newform_data():
         raise PreconditionError(f"no newform registered for level {level}")
     if d >= 0 or not is_fundamental_discriminant(d):
         raise PreconditionError(f"D must be a negative fundamental discriminant, got {d}")
     l_alg = _twisted_sum(_eigen_functional(level), level, d)
-    g = gcd(d, level)
-    if g > 1:
-        return LValueEstimate(l_alg, None, OracleVerdict.INDETERMINATE, (
-            f"gcd(|D|, N) = {g} > 1: L_alg twists the newform by chi_D and "
-            "omits E_D's Euler factors at the common primes; not decided",))
     verdict = OracleVerdict.ZERO if l_alg == 0 else OracleVerdict.NONZERO
-    return LValueEstimate(l_alg, kronecker(d, -level), verdict)
+    return LValueEstimate(l_alg, kronecker(d, -level) or None, verdict)
 
 
 # The coefficient-series oracle lives in lcrit.series, which needs numpy.

@@ -137,15 +137,14 @@ def test_check_oracle_reports_root_number():
         assert r.exit_code == 0, r.output
         assert json.loads(r.stdout)["oracle"] == {
             "verdict": "zero" if l_alg == 0 else "nonzero", "value": float(l_alg),
-            "root_number": w, "caveats": []}
-    # gcd(D, N) > 1: no root number, and the verdict says why it is open
+            "root_number": w}
+    # gcd(D, N) > 1: no root number, and L_alg decides as everywhere else
     r = invoke("check", "--level", "15", "--disc", "-39", "--oracle", "--json")
     assert r.exit_code == 0, r.output
-    obj = json.loads(r.stdout)["oracle"]
-    assert obj["verdict"] == "indeterminate" and obj["root_number"] is None
-    assert "gcd(|D|, N) = 3 > 1" in obj["caveats"][0]
+    assert json.loads(r.stdout)["oracle"] == {"verdict": "zero", "value": 0.0,
+                                              "root_number": None}
     text = invoke("check", "--level", "15", "--disc", "-39", "--oracle")
-    assert "root number" not in text.output and "oracle: indeterminate" in text.output
+    assert "root number" not in text.output and "oracle: zero  L_alg = 0" in text.output
 
 
 def _csv_rows(output):
@@ -551,11 +550,25 @@ def test_cli_options_are_documented():
     assert not undocumented, sorted(undocumented)
 
 
+def _readme_library_block():
+    sections = re.split(r"^## ", README.read_text(), flags=re.M)
+    return next(re.search(r"```python\n(.*?)```", s, flags=re.S).group(1)
+                for s in sections if s.startswith("Library\n"))
+
+
+def test_public_names_are_the_readme_imports():
+    # the package's top level is what README's Library block imports, plus
+    # the error type; every other name is imported from its own module
+    assert sorted(lcrit.__all__) == ["PreconditionError", "compare", "enumerate_forms",
+                                     "f_sum", "vanishing_verdict"]
+    imported = re.findall(r"^from lcrit import (.*)$", _readme_library_block(), flags=re.M)
+    assert imported and {n.strip() for line in imported for n in line.split(",")} \
+        <= set(lcrit.__all__)
+
+
 def test_readme_library_lines_hold():
     # each `expr  # value` line of README's Library block prints as its comment
-    sections = re.split(r"^## ", README.read_text(), flags=re.M)
-    block = next(re.search(r"```python\n(.*?)```", s, flags=re.S).group(1)
-                 for s in sections if s.startswith("Library\n"))
+    block = _readme_library_block()
     namespace = {}
     checked = 0
     for line in block.splitlines():

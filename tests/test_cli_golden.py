@@ -67,7 +67,7 @@ DIGESTS = {
     "check --level 32 --disc -219 --oracle":
         "15baa165da2597ec33ac52e5439cb64f2a36f92683f1428e3b5f67245be4e00a",
     "check --level 32 --disc -219 --oracle --json":
-        "992adcc4fc34f48b4535475cce16529bfc634894413c774ae89ea9edcbb00160",
+        "6f927b21fefa75abe8848921f7944698f1e167a2524c323b936567117f5d6f50",
     "scan --level 32 --from -3 --to -400 --parallel 1":
         "a13c516b93936bf1617e86492f92d2e0a9a93928be2fc52cb5db2c71f5a2d16e",
     "scan --level 32 --from -3 --to -400 --parallel 2":

@@ -1,4 +1,4 @@
-"""Level registry, exact F sums, goodness predicates, and the derived
+"""Level registry, exact F sums, the goodness predicate, and the derived
 verdicts (vanishing, congruent numbers, parity, sums of two cubes)."""
 
 import math
@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from lcrit.arith import factorize, is_fundamental_discriminant, is_square, kronecker
+from lcrit.arith import factorize, is_fundamental_discriminant, is_square
 from lcrit.criterion import (
     LEVELS,
     Congruence,
@@ -18,7 +18,6 @@ from lcrit.criterion import (
     congruent_verdict,
     cubes_verdict,
     f_sum,
-    is_good,
     level_data,
     parity_test,
     table_condition,
@@ -228,19 +227,6 @@ def test_f_sum_at_zero_where_d0_primes_divide_m_to_higher_powers():
     assert min(seen.values()) >= 10, seen
 
 
-def test_is_good_worked_examples():
-    assert is_good(32, -11)
-    assert not is_good(32, -7)
-    assert is_good(11, -15)
-    assert is_good(27, -7)
-    # even fundamental discriminants fall outside the odd-D rules
-    assert not is_good(27, -4)
-    with pytest.raises(PreconditionError):
-        is_good(32, -9)
-    with pytest.raises(PreconditionError):
-        is_good(32, 11)
-
-
 def test_table_condition_worked_examples():
     assert table_condition(32, -11)
     assert table_condition(27, -7)
@@ -250,6 +236,24 @@ def test_table_condition_worked_examples():
         table_condition(32, -9)
     with pytest.raises(PreconditionError):
         table_condition(13, -11)
+
+
+# table_condition counts over the fundamental D < 0 with |D| < 4000
+TABLE_CONDITION_COUNTS = {11: 555, 14: 353, 15: 315, 17: 376, 19: 579, 20: 167, 21: 202,
+                          24: 153, 27: 455, 32: 405, 36: 153, 49: 534}
+
+
+def test_table_condition_depends_only_on_d_mod_4n():
+    ds = _fundamental_negatives(3999)
+    counts = {}
+    for level in LEVELS:
+        admitted = {d: table_condition(level, d) for d in ds}
+        by_class = {}
+        for d, ok in admitted.items():
+            by_class.setdefault(-d % (4 * level), set()).add(ok)
+        assert all(len(seen) == 1 for seen in by_class.values()), level
+        counts[level] = sum(admitted.values())
+    assert counts == TABLE_CONDITION_COUNTS
 
 
 def test_vanishing_verdict_worked_examples():
@@ -308,7 +312,7 @@ def test_vanishing_verdict_notes():
     # even fundamental discriminant accepted by the literal table row
     v = vanishing_verdict(19, -20)
     assert "even" in v.note
-    # table row at level 15 admits 3 | |D| though the goodness rules do not
+    # the level-15 table row admits 3 | |D|, where gcd(|D|, N) > 1
     v = vanishing_verdict(15, -39)
     assert "gcd" in v.note
     assert vanishing_verdict(32, -11).note == ""
@@ -400,60 +404,6 @@ def test_f_at_zero_is_even():
         if (-d) % 8 != 3 or is_square(-3 * d):
             continue
         assert f_sum(32, -3, d, 0).value % 2 == 0, d
-
-
-# the three levels where the registry row provably differs from the
-# odd-discriminant goodness rules, with the exact divergence predicate
-_DIVERGENCE = {
-    14: lambda m: kronecker(-56, m) == 1 and m % 8 != 3,
-    15: lambda m: m % 3 == 0 and kronecker(5, m) == 1,
-    24: lambda m: m % 8 == 3 and kronecker(-24, m) == 1 and kronecker(-3, m) == -1,
-}
-
-
-def test_registry_consistency():
-    for level in LEVELS:
-        diverges = _DIVERGENCE.get(level, lambda m: False)
-        for d in _fundamental_negatives(3000):
-            if d % 2 == 0:
-                continue
-            good = is_good(level, d)
-            table = table_condition(level, d)
-            if good:
-                # goodness always implies the printed row condition
-                assert table, (level, d)
-            assert (table and not good) == diverges(-d), (level, d)
-
-
-# (is_good count, table_condition count) over the odd fundamental D with
-# |D| < 4000 at the levels where the two differ; at level 24, |D| = 3 (mod 8)
-# makes (-2/|D|) = 1, so rule (1) asks (3/|D|) = 1 and rule (4) asks
-# (-3/|D|) = -(3/|D|) = 1, and no D meets both
-_GOOD_AND_TABLE_COUNTS = {14: (174, 353), 15: (128, 215), 24: (0, 153)}
-
-
-def _odd_fundamental_negatives():
-    return [d for d in _fundamental_negatives(3999) if d % 2]
-
-
-def test_is_good_within_table_condition():
-    ds = _odd_fundamental_negatives()
-    for level in LEVELS:
-        good = {d for d in ds if is_good(level, d)}
-        table = {d for d in ds if table_condition(level, d)}
-        assert good <= table, level
-        if level in _GOOD_AND_TABLE_COUNTS:
-            assert (len(good), len(table)) == _GOOD_AND_TABLE_COUNTS[level], level
-        else:
-            assert good == table, level
-
-
-@pytest.mark.xfail(strict=True, reason="is_good(24, d) is False for every odd D: "
-                   "rules (1) and (4) contradict when |D| = 3 (mod 8)")
-def test_is_good_admits_some_d_at_every_level():
-    ds = _odd_fundamental_negatives()
-    for level in LEVELS:
-        assert any(is_good(level, d) for d in ds), level
 
 
 def test_listed_values_break_invariance():

@@ -183,14 +183,25 @@ def test_workload_values_pinned():
         assert isinstance(est.value, float) and est.value == l_alg
 
 
-def test_non_coprime_d_is_indeterminate():
-    # gcd(|D|, N) > 1 is outside the formula: reported, never raised
-    for level, d in ((15, -8616), (15, -39), (27, -3), (32, -4), (49, -7)):
+# gcd(D, N) > 1: L_alg decides as everywhere else.  (27, -3), (32, -4) and
+# (49, -7) are CM self-twists of rank 0, so Nonzero is known independently
+NON_COPRIME_L_ALG = {(15, -8616): 0, (15, -39): 0, (27, -3): 2, (32, -4): 2, (49, -7): 14}
+
+# L_alg on every level-15 table-condition D with 3 | D and |D| < 600, where
+# the registered row says nonzero on each
+LEVEL_15_MULTIPLES_OF_3 = {
+    -24: 0, -39: 0, -51: 0, -84: 0, -111: 0, -159: 0, -219: 0, -231: 0, -264: 0, -276: 0,
+    -291: 0, -339: 0, -399: 0, -411: 0, -456: 0, -471: 0, -516: 0, -519: 0, -564: 0,
+    -579: 0, -591: 0}
+
+
+def test_non_coprime_d_is_decided_by_l_alg():
+    for (level, d), l_alg in NON_COPRIME_L_ALG.items():
         est = estimate_l_value(level, d)
-        assert est.verdict is OracleVerdict.INDETERMINATE, (level, d)
-        assert est.root_number is None
-        assert f"gcd(|D|, N) = {gcd(d, level)} > 1" in est.caveats[0]
-        assert isinstance(est.value, float)
+        verdict = OracleVerdict.ZERO if l_alg == 0 else OracleVerdict.NONZERO
+        assert (est.l_alg, est.verdict, est.root_number) == (l_alg, verdict, None), (level, d)
+    ds = [d for d in table_condition_filter(15, range(-3, -600, -1)) if d % 3 == 0]
+    assert {d: estimate_l_value(15, d).l_alg for d in ds} == LEVEL_15_MULTIPLES_OF_3
 
 
 def test_preconditions():
